@@ -9,8 +9,8 @@ The contract of ``repro.obs`` is two-sided:
   on the hottest path sum to **< 5 %** of the disabled per-operation
   time.
 * **Enabled** telemetry is cheap enough to leave on in production:
-  bound handles, fused counter banks with fold-time aliases, sampled
-  histograms and derived counters keep the ingest+query workload
+  bound handles, per-thread counter banks with column aliases and the
+  fused ``server.query`` accounting keep the ingest+query workload
   within **≤ 15 %** of disabled throughput (the seed measured a 40%
   true slowdown, which its misnamed ``enabled_slowdown_percent``
   field reported as 66).
@@ -102,7 +102,7 @@ def _run_workload(records) -> int:
 def _timed_block(records, enabled: bool, registry, passes: int, discard: int):
     """Minimum steady-state pass time over one same-side block.
 
-    The first ``discard`` passes re-warm side-specific state (shard
+    The first ``discard`` passes re-warm side-specific state (bank
     cells, branch history) after a toggle and are dropped; of the rest
     the *minimum* is kept, because contention noise on a shared runner
     is strictly one-sided — every disturbance makes a pass slower,
@@ -196,7 +196,7 @@ def test_obs_overhead_within_budget():
     records = _make_records(np.random.default_rng(42))
     registry = MetricsRegistry()
 
-    # Warm both paths (allocator, metric families, first-touch shard
+    # Warm both paths (allocator, metric families, first-touch bank
     # cells) so neither side pays one-time costs inside the window.
     _run_workload(records)
     runtime.enable(registry=registry)
@@ -280,8 +280,8 @@ def test_obs_overhead_within_budget():
     # < 5% of the operation itself.
     assert guard_fraction < 0.05, results
 
-    # Enabled side: sharded cells + bound handles keep live telemetry
-    # within the production budget.
+    # Enabled side: bound handles, counter banks and fused query
+    # accounting keep live telemetry within the production budget.
     assert enabled_slowdown <= _MAX_ENABLED_SLOWDOWN, results
 
 

@@ -810,10 +810,6 @@ def _write_metrics(registry, path: str, fmt: str) -> None:
         "json": obs.to_json,
         "text": obs.format_report,
     }
-    # Exposition boundary: account the shard fold before rendering so
-    # the export carries its own telemetry (mirrors the /metrics
-    # handler; exporters themselves stay pure).
-    registry.account_exposition()
     text = renderers[fmt](registry)
     if not text.endswith("\n"):
         text += "\n"

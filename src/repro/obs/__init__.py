@@ -62,8 +62,6 @@ from repro.obs.metrics import (
     DEFAULT_TIME_BUCKETS,
     NULL_REGISTRY,
     POW2_BUCKETS,
-    SAMPLES_DROPPED_COUNTER,
-    SHARD_FOLD_COUNTER,
     SIZE_BUCKETS,
     Counter,
     Gauge,
@@ -121,8 +119,6 @@ __all__ = [
     "PROFILE_RUNS_COUNTER",
     "ProfileReport",
     "Profiler",
-    "SAMPLES_DROPPED_COUNTER",
-    "SHARD_FOLD_COUNTER",
     "SIZE_BUCKETS",
     "SPAN_HISTOGRAM",
     "Span",

@@ -66,7 +66,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             labels = dict(key)
             if family.kind == "histogram":
                 assert isinstance(child, Histogram)
-                # One fold serves buckets, sum and count alike: reading
+                # One locked read serves buckets, sum and count: reading
                 # them as separate properties during concurrent writes
                 # could publish a +Inf bucket disagreeing with _count.
                 pairs, sum_, count = child.exposition()

@@ -147,10 +147,6 @@ class MetricsServer:
                 path = parsed.path.rstrip("/") or "/"
                 if path == "/metrics":
                     server._count_scrape("/metrics")
-                    # Exposition boundary: account the shard fold and
-                    # any newly dropped histogram samples *before*
-                    # rendering, so the scrape reports itself.
-                    server.resolve_registry().account_exposition()
                     cluster = server._cluster
                     if cluster is not None:
                         cluster.refresh()

@@ -11,19 +11,16 @@ distinct label set, and has a fixed type.  Histograms use fixed
 log-scale bucket boundaries (:func:`log_buckets`), so the exposition is
 mergeable across processes.
 
-Hot-path cost model
--------------------
-Updates are *sharded*: every metric keeps one private accumulation cell
-per writing thread, so ``inc()``/``observe()`` never take a lock — the
-GIL already serialises the single in-place add each update performs on
-its own cell.  The exact totals are folded from the shards at
-scrape/snapshot time (the cold path), which is what keeps
-metrics-enabled ingest within a few percent of disabled ingest (see
-``BENCH_obs.json``).  A thread's cell survives the thread, so totals
-are exact even after workers exit.  Histograms can additionally
-*sample* bucket attribution (``sample_rate=N`` buckets every Nth
-observation, batch-weighted) while ``count``/``sum`` stay exact — see
-:class:`Histogram`.
+Concurrency model
+-----------------
+Each counter, gauge and histogram child holds one value behind one
+lock (a histogram: one bucket list and one sum), so an update is one
+short critical section and a read is one consistent copy.  Updates
+call ``acquire``/``release`` in ``try``/``finally`` rather than
+``with``: on CPython 3.11 that halves the cost of an update (about
+340 ns instead of 700 ns on a 2-vCPU host).  The one exception is
+:class:`CounterBank`, the fused multi-series path of the hottest
+sites: its cells are per-thread and summed at read time.
 
 All of this is *passive*: nothing in the library touches a registry
 unless one was activated through :mod:`repro.obs.runtime`.
@@ -77,13 +74,6 @@ POW2_BUCKETS = tuple(float(2 ** k) for k in range(11))
 #: Buckets for bit/byte-sized quantities: 2^6 .. 2^24.
 SIZE_BUCKETS = tuple(float(2 ** k) for k in range(6, 25, 2))
 
-#: Counts shard folds performed at exposition time (telemetry about
-#: telemetry; incremented by :meth:`MetricsRegistry.account_exposition`).
-SHARD_FOLD_COUNTER = "repro_metric_shard_folds_total"
-
-#: Counts histogram observations that rode along in sampled batches.
-SAMPLES_DROPPED_COUNTER = "repro_histogram_samples_dropped_total"
-
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     for name in labels:
@@ -92,105 +82,44 @@ def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((name, str(value)) for name, value in labels.items()))
 
 
-class _Cell:
-    """One thread's private accumulation slot for a scalar metric.
+class _Scalar:
+    """One value behind one lock: the state of a counter or gauge.
 
-    Only the owning thread ever writes ``value`` (a single in-place
-    float add, atomic under the GIL); folds read it.  The cell outlives
-    its thread so the accumulated amount is never lost.
+    ``value`` also adds the :class:`CounterBank` columns wired to
+    this metric, so a banked series reads like any other.
     """
 
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-
-class _Sharded:
-    """Per-thread cell bookkeeping shared by :class:`Counter`/:class:`Gauge`."""
-
-    __slots__ = ("_lock", "_base", "_cells", "_local", "_banks", "_hist_counts")
+    __slots__ = ("_lock", "_value", "_banks")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: Folded-in amount from merges/sets (never written by shards).
-        self._base = 0.0
-        self._cells: List[_Cell] = []
-        self._local = threading.local()
-        #: ``(bank, attr)`` columns feeding this metric (see
-        #: :class:`CounterBank`); folded in with the cells.
+        self._value = 0.0
+        #: ``(bank, attr)`` columns feeding this metric.
         self._banks: List[Tuple["CounterBank", str]] = []
-        #: Histograms whose exact observation count feeds this metric
-        #: (see :meth:`_attach_histogram_count`); folded like banks.
-        self._hist_counts: List["Histogram"] = []
-
-    def _new_cell(self) -> _Cell:
-        cell = _Cell()
-        with self._lock:
-            self._cells.append(cell)
-        self._local.cell = cell
-        return cell
 
     def _attach_bank(self, bank: "CounterBank", attr: str) -> None:
         with self._lock:
             self._banks.append((bank, attr))
 
-    def _attach_histogram_count(self, histogram: "Histogram") -> None:
-        """Derive this metric from ``histogram``'s observation count.
-
-        A counter that is an *identity* of a histogram's count (every
-        served query observes exactly one latency) costs the hot path
-        nothing: the count is folded in here at scrape time, and
-        sampled histograms keep their count exact by construction.
-        Idempotent per histogram, so re-binding on an observability
-        toggle never double-attaches.  A derived metric is skipped by
-        :meth:`MetricsRegistry.merge` — its cross-process total arrives
-        through the source histogram's own bucket merge.
-        """
-        with self._lock:
-            if not any(h is histogram for h in self._hist_counts):
-                self._hist_counts.append(histogram)
-
-    @property
-    def derived(self) -> bool:
-        """Whether this metric aliases a histogram count (see above)."""
-        return bool(self._hist_counts)
-
     @property
     def value(self) -> float:
-        """The exact current total, folded across all thread shards."""
+        """The exact current total, bank columns included."""
         with self._lock:
-            total = self._base + sum(cell.value for cell in self._cells)
+            total = self._value
             for bank, attr in self._banks:
                 total += bank._column(attr)
-            for histogram in self._hist_counts:
-                total += histogram.count
             return total
-
-    @property
-    def shards(self) -> int:
-        """Number of per-thread cells folded at scrape time."""
-        with self._lock:
-            return len(self._cells)
 
     def reset(self) -> None:
         """Zero the metric (for between-run reuse, not while writing)."""
         with self._lock:
-            self._base = 0.0
-            for cell in self._cells:
-                cell.value = 0.0
+            self._value = 0.0
             for bank, attr in self._banks:
                 bank._reset_column(attr)
 
 
-class Counter(_Sharded):
-    """A monotonically increasing count (events, records, bits).
-
-    ``inc()`` is lock-free: it adds into the calling thread's private
-    cell.  ``value`` folds every cell (plus merged-in base) into the
-    exact total — strictly monotone across scrapes, exact once writers
-    quiesce.
-    """
+class Counter(_Scalar):
+    """A monotonically increasing count (events, records, bits)."""
 
     __slots__ = ()
 
@@ -200,21 +129,18 @@ class Counter(_Sharded):
             raise ObservabilityError(
                 f"counters only go up; cannot inc by {amount}"
             )
+        self._lock.acquire()
         try:
-            cell = self._local.cell
-        except AttributeError:
-            cell = self._new_cell()
-        cell.value += amount
+            self._value += amount
+        finally:
+            self._lock.release()
 
 
-class Gauge(_Sharded):
+class Gauge(_Scalar):
     """A value that can go up and down (resident records, bits).
 
-    ``inc()``/``dec()`` are lock-free per-thread deltas; ``set()`` is
-    an absolute assignment and therefore takes the fold lock (it zeroes
-    every shard).  Concurrent ``set`` and ``inc`` race exactly as the
-    operations' semantics suggest: the delta lands before or after the
-    assignment, never partially.
+    ``set()`` assigns the gauge's own value; bank columns wired to it
+    keep adding on top.
     """
 
     __slots__ = ()
@@ -222,23 +148,22 @@ class Gauge(_Sharded):
     def set(self, value: float) -> None:
         """Set the gauge to an absolute value."""
         with self._lock:
-            self._base = float(value)
-            for cell in self._cells:
-                cell.value = 0.0
+            self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be negative) to the gauge."""
+        self._lock.acquire()
         try:
-            cell = self._local.cell
-        except AttributeError:
-            cell = self._new_cell()
-        cell.value += amount
+            self._value += amount
+        finally:
+            self._lock.release()
 
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the gauge."""
         self.inc(-amount)
 
 
+# Kept: removal cost +2.2 to +8.1 pts of enabled slowdown (observability.md)
 class CounterBank:
     """Several counter/gauge children updated through one shared cell.
 
@@ -251,11 +176,11 @@ class CounterBank:
         cell.ingested += 1
         cell.resident_bits += record.size
 
-    Each named field is wired to exactly one child metric, whose folds
+    Each named field is wired to exactly one child metric, whose reads
     include the bank cells' column, so totals stay exact and the
     exposition is indistinguishable from per-series updates.  Only
     counters and delta-style gauges can join a bank; a banked gauge's
-    ``set()`` zeroes its column like any other shard.
+    ``set()`` assigns its own value and the column keeps adding on top.
 
     Several children may *alias* one column: ``fields`` is a sequence
     of ``(attr, child)`` pairs and a repeated ``attr`` attaches every
@@ -263,12 +188,12 @@ class CounterBank:
     values are identities of each other on the hot path (the server's
     resident-record gauge tracks its ingest counter exactly while
     nothing evicts) — the site pays one add and every aliased family
-    folds the same column.  Aliased children must stay delta-style:
-    a ``set()`` on any of them zeroes the shared column for all.
+    reads the same column.
 
-    Writes follow the cell model of :class:`_Cell`: only the owning
-    thread writes its cell's attributes (GIL-atomic in-place adds),
-    folds read them, and cells outlive their threads.
+    Cells are per-thread: only the owning thread writes its cell, so
+    its in-place adds never race another writer.  Reads sum a copy of
+    the cell list taken under the bank lock, and cells outlive their
+    threads.
     """
 
     __slots__ = ("_columns", "_cell_type", "_cells", "_local", "_lock")
@@ -318,60 +243,19 @@ class CounterBank:
                 setattr(cell, attr, 0.0)
 
 
-class _HistogramCell:
-    """One thread's private histogram shard.
-
-    ``sum`` is exact (updated on every observation).  ``counts`` holds
-    *bucketed* observations; with sampling active, up to
-    ``sample_rate - 1`` recent observations sit in ``pending`` awaiting
-    batch attribution to the next sampled observation's bucket.
-    ``last_index`` remembers the most recent sampled bucket so a fold
-    can place a still-pending tail; ``dropped`` counts observations
-    that rode along in a completed batch instead of being individually
-    bucketed.
-    """
-
-    __slots__ = ("counts", "sum", "pending", "last_index", "dropped")
-
-    def __init__(self, buckets: int) -> None:
-        self.counts = [0] * buckets
-        self.sum = 0.0
-        self.pending = 0
-        self.last_index = -1
-        self.dropped = 0
-
-
 class Histogram:
     """A distribution over fixed buckets (latencies, ratios, sizes).
 
     Buckets are *upper bounds*: an observation ``v`` lands in the first
     bucket with ``v <= upper``; anything beyond the last bound lands in
     the implicit ``+Inf`` overflow bucket.  Export is cumulative, as
-    Prometheus expects.
-
-    ``observe()`` is lock-free: each writing thread accumulates into a
-    private shard that folds are summed from at scrape time.  With
-    ``sample_rate=N > 1`` only every Nth observation per thread pays
-    the bucket search; it carries the batch's full weight (its own
-    observation plus the ``N-1`` pending ones) into its bucket, so the
-    total bucket mass — and therefore ``count`` and the ``+Inf``
-    cumulative bucket — stays exact while the *distribution across
-    buckets* becomes an unbiased-for-stationary-streams approximation.
-    ``sum`` is always exact.  A fold attributes a thread's still-
-    pending tail (< N observations) to its most recent sampled bucket
-    (or, before any sample landed, to the bucket of the running mean),
-    so the exposed ``_count`` equals the true observation count at
-    every scrape.
+    Prometheus expects.  Every observation is bucketed exactly; the
+    bucket list and the sum sit behind one lock.
     """
 
-    __slots__ = ("_lock", "_uppers", "_rate", "_base_counts", "_base_sum",
-                 "_cells", "_local")
+    __slots__ = ("_lock", "_uppers", "_counts", "_sum")
 
-    def __init__(
-        self,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-        sample_rate: int = 1,
-    ):
+    def __init__(self, buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
         uppers = tuple(float(b) for b in buckets)
         if not uppers:
             raise ObservabilityError("a histogram needs at least one bucket")
@@ -379,157 +263,80 @@ class Histogram:
             raise ObservabilityError(
                 f"bucket bounds must be strictly increasing, got {uppers}"
             )
-        if int(sample_rate) < 1:
-            raise ObservabilityError(
-                f"sample_rate must be >= 1, got {sample_rate}"
-            )
         self._lock = threading.Lock()
         self._uppers = uppers
-        self._rate = int(sample_rate)
-        self._base_counts = [0] * (len(uppers) + 1)  # +1 for +Inf
-        self._base_sum = 0.0
-        self._cells: List[_HistogramCell] = []
-        self._local = threading.local()
+        self._counts = [0] * (len(uppers) + 1)  # +1 for +Inf
+        self._sum = 0.0
 
     @property
     def buckets(self) -> Tuple[float, ...]:
         """The finite upper bounds (``+Inf`` is implicit)."""
         return self._uppers
 
-    @property
-    def sample_rate(self) -> int:
-        """Bucket every Nth observation per thread (1 = bucket all)."""
-        return self._rate
-
-    def _new_cell(self) -> _HistogramCell:
-        cell = _HistogramCell(len(self._uppers) + 1)
-        with self._lock:
-            self._cells.append(cell)
-        self._local.cell = cell
-        return cell
-
     def observe(self, value: float) -> None:
-        """Record one observation (lock-free; see class docstring)."""
+        """Record one observation."""
+        index = bisect_left(self._uppers, value)
+        self._lock.acquire()
         try:
-            cell = self._local.cell
-        except AttributeError:
-            cell = self._new_cell()
-        cell.sum += value
-        pending = cell.pending + 1
-        if pending >= self._rate:
-            index = bisect_left(self._uppers, value)
-            cell.counts[index] += pending
-            cell.last_index = index
-            cell.dropped += pending - 1
-            cell.pending = 0
-        else:
-            cell.pending = pending
+            self._counts[index] += 1
+            self._sum += value
+        finally:
+            self._lock.release()
 
     def observe_many(self, value: float, count: int) -> None:
         """Record ``count`` identical observations in one call.
 
-        Unsampled, this is exactly equivalent to ``count`` consecutive
-        ``observe(value)`` calls — same bucket, count and sum — at the
-        cost of one.  Hot sites that expand a whole group at one ratio
-        (a join folding k same-sized bitmaps) use it to pay the
-        per-observation overhead once per group.  Under sampling the
-        group counts as a single sampled observation carrying any
-        previously-pending tail with it (only that carried tail counts
-        as dropped; the group itself is bucketed exactly).
+        Exactly equivalent to ``count`` consecutive ``observe(value)``
+        calls — same bucket, count and sum — at the cost of one.  Hot
+        sites that expand a whole group at one ratio (a join folding k
+        same-sized bitmaps) use it to pay the per-observation overhead
+        once per group.
         """
         if count <= 0:
             return
+        index = bisect_left(self._uppers, value)
+        self._lock.acquire()
         try:
-            cell = self._local.cell
-        except AttributeError:
-            cell = self._new_cell()
-        cell.sum += value * count
-        pending = cell.pending + count
-        if pending >= self._rate:
-            index = bisect_left(self._uppers, value)
-            cell.counts[index] += pending
-            cell.last_index = index
-            cell.dropped += pending - count
-            cell.pending = 0
-        else:
-            cell.pending = pending
+            self._counts[index] += count
+            self._sum += value * count
+        finally:
+            self._lock.release()
 
-    def _folded(self) -> Tuple[List[int], float]:
-        """Exact ``(per_bucket_counts, sum)`` across base and shards.
-
-        Reads shards without mutating them: a thread's pending tail is
-        attributed in the returned view only, so the owner keeps its
-        own bookkeeping and no fold ever races a writer's state.
-        """
+    def _read(self) -> Tuple[List[int], float]:
+        """One consistent ``(per_bucket_counts, sum)`` copy."""
         with self._lock:
-            counts = list(self._base_counts)
-            total_sum = self._base_sum
-            cells = list(self._cells)
-        for cell in cells:
-            cell_counts = list(cell.counts)
-            pending = cell.pending
-            cell_sum = cell.sum
-            for index, cell_count in enumerate(cell_counts):
-                counts[index] += cell_count
-            if pending:
-                index = cell.last_index
-                if index < 0:
-                    # Nothing sampled yet: place the tail at the bucket
-                    # of the shard's running mean.
-                    observed = sum(cell_counts) + pending
-                    index = bisect_left(self._uppers, cell_sum / observed)
-                counts[index] += pending
-            total_sum += cell_sum
-        return counts, total_sum
+            return list(self._counts), self._sum
 
     @property
     def sum(self) -> float:
         """Exact sum of all observations."""
-        return self._folded()[1]
+        return self._read()[1]
 
     @property
     def count(self) -> int:
         """Exact number of observations."""
-        return sum(self._folded()[0])
-
-    @property
-    def samples_dropped(self) -> int:
-        """Observations that rode along in a sampled batch.
-
-        Each completed batch of ``sample_rate`` observations buckets
-        one observation individually and carries the other
-        ``sample_rate - 1`` along — those ride-alongs are counted
-        here.  Always 0 when ``sample_rate`` is 1.
-        """
-        with self._lock:
-            return sum(cell.dropped for cell in self._cells)
-
-    @property
-    def shards(self) -> int:
-        """Number of per-thread cells folded at scrape time."""
-        with self._lock:
-            return len(self._cells)
+        return sum(self._read()[0])
 
     def bucket_counts(self) -> List[int]:
         """Per-bucket (non-cumulative) counts, overflow last."""
-        return self._folded()[0]
+        return self._read()[0]
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """Prometheus-style cumulative ``(le, count)`` pairs, +Inf last."""
         return self.exposition()[0]
 
     def exposition(self) -> Tuple[List[Tuple[float, int]], float, int]:
-        """Single-fold consistent ``(cumulative_pairs, sum, count)``.
+        """Consistent ``(cumulative_pairs, sum, count)`` from one read.
 
-        ``cumulative()``, ``sum`` and ``count`` each fold the shards
-        independently, so a reader combining them while writers run
-        can pair a stale ``+Inf`` bucket with a newer count — an
-        exposition consumers (including :meth:`merge_cumulative`)
-        rightly reject.  Exporters and snapshots read all three
-        quantities out of one fold here instead, so a scrape is
-        internally consistent no matter how it races the writers.
+        ``cumulative()``, ``sum`` and ``count`` each take the lock
+        separately, so a reader combining them while writers run can
+        pair a stale ``+Inf`` bucket with a newer count — an exposition
+        consumers (including :meth:`merge_cumulative`) rightly reject.
+        Exporters and snapshots read all three quantities out of one
+        locked copy here instead, so a scrape is internally consistent
+        no matter how it races the writers.
         """
-        counts, total_sum = self._folded()
+        counts, total_sum = self._read()
         pairs: List[Tuple[float, int]] = []
         running = 0
         for upper, count in zip(self._uppers, counts):
@@ -548,7 +355,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError(f"quantile must lie in [0, 1], got {q}")
-        counts, _ = self._folded()
+        counts, _ = self._read()
         total = sum(counts)
         if total == 0:
             return math.nan
@@ -563,14 +370,8 @@ class Histogram:
     def reset(self) -> None:
         """Forget all observations."""
         with self._lock:
-            self._base_counts = [0] * (len(self._uppers) + 1)
-            self._base_sum = 0.0
-            for cell in self._cells:
-                cell.counts = [0] * (len(self._uppers) + 1)
-                cell.sum = 0.0
-                cell.pending = 0
-                cell.last_index = -1
-                cell.dropped = 0
+            self._counts = [0] * (len(self._uppers) + 1)
+            self._sum = 0.0
 
     def merge_cumulative(
         self,
@@ -617,8 +418,8 @@ class Histogram:
             )
         with self._lock:
             for index, increment in enumerate(per_bucket):
-                self._base_counts[index] += increment
-            self._base_sum += float(sum_)
+                self._counts[index] += increment
+            self._sum += float(sum_)
 
 
 class MetricFamily:
@@ -630,7 +431,6 @@ class MetricFamily:
         kind: str,
         help_text: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: int = 1,
     ):
         if not _NAME_RE.match(name):
             raise ObservabilityError(f"invalid metric name {name!r}")
@@ -640,7 +440,6 @@ class MetricFamily:
         self.kind = kind
         self.help_text = help_text
         self._buckets = tuple(buckets) if buckets is not None else None
-        self._sample_rate = int(sample_rate)
         self._lock = threading.Lock()
         self._children: Dict[LabelKey, object] = {}
 
@@ -658,10 +457,7 @@ class MetricFamily:
                 elif self.kind == "gauge":
                     child = Gauge()
                 else:
-                    child = Histogram(
-                        self._buckets or DEFAULT_TIME_BUCKETS,
-                        sample_rate=self._sample_rate,
-                    )
+                    child = Histogram(self._buckets or DEFAULT_TIME_BUCKETS)
                 self._children[key] = child
             return child
 
@@ -691,9 +487,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, MetricFamily] = {}
         self._banks: Dict[str, CounterBank] = {}
-        #: Dropped-sample total already shipped to the exposition
-        #: counter; see :meth:`account_exposition`.
-        self._dropped_reported = 0
 
     def _family(
         self,
@@ -701,16 +494,13 @@ class MetricsRegistry:
         kind: str,
         help_text: str,
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: int = 1,
     ) -> MetricFamily:
         family = self._families.get(name)
         if family is None:
             with self._lock:
                 family = self._families.get(name)
                 if family is None:
-                    family = MetricFamily(
-                        name, kind, help_text, buckets, sample_rate
-                    )
+                    family = MetricFamily(name, kind, help_text, buckets)
                     self._families[name] = family
         if family.kind != kind:
             raise ObservabilityError(
@@ -733,18 +523,15 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: Optional[int] = None,
         **labels: object,
     ) -> Histogram:
         """The histogram ``name`` for this label set.
 
-        ``buckets`` and ``sample_rate`` only take effect when the
-        family is first created; later calls reuse the family's bounds
-        and rate (they must be consistent for the exposition to merge).
+        ``buckets`` only take effect when the family is first created;
+        later calls reuse the family's bounds (they must be consistent
+        for the exposition to merge).
         """
-        return self._family(
-            name, "histogram", help, buckets, sample_rate or 1
-        ).labels(**labels)
+        return self._family(name, "histogram", help, buckets).labels(**labels)
 
     def bind(
         self,
@@ -752,7 +539,6 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: Optional[int] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         """Resolve a child once so callers can cache the handle.
@@ -772,9 +558,7 @@ class MetricsRegistry:
         if kind == "gauge":
             return self.gauge(name, help, **labels)
         if kind == "histogram":
-            return self.histogram(
-                name, help, buckets=buckets, sample_rate=sample_rate, **labels
-            )
+            return self.histogram(name, help, buckets=buckets, **labels)
         raise ObservabilityError(f"unknown metric kind {kind!r}")
 
     def bank(
@@ -797,7 +581,7 @@ class MetricsRegistry:
         existing = self._banks.get(name)
         if existing is not None:
             return existing
-        children: List[Tuple[str, _Sharded]] = []
+        children: List[Tuple[str, _Scalar]] = []
         for attr, spec in fields.items():
             if len(spec) == 5:
                 kind, metric_name, help_text, labels, column = spec
@@ -837,48 +621,6 @@ class MetricsRegistry:
         """Reset every metric in place (families and labels survive)."""
         for family in self.families():
             family.reset()
-        with self._lock:
-            self._dropped_reported = 0
-
-    def samples_dropped_total(self) -> int:
-        """Histogram observations batch-attributed instead of bucketed.
-
-        Summed across every histogram child in this process (worker
-        snapshots merge bucket counts, not drop diagnostics, so this
-        is a per-process figure).  Zero unless some histogram was
-        created with ``sample_rate > 1``.
-        """
-        total = 0
-        for family in self.families():
-            if family.kind != "histogram":
-                continue
-            for _, child in family.children():
-                total += child.samples_dropped  # type: ignore[attr-defined]
-        return total
-
-    def account_exposition(self) -> None:
-        """Record one exposition's worth of telemetry-about-telemetry.
-
-        Called at exposition boundaries only (the ``/metrics`` handler
-        and the CLI metrics sink) — *not* from :meth:`snapshot` or the
-        exporters, which must stay pure so worker snapshots and
-        Prometheus round-trips don't manufacture counts.  Increments
-        ``repro_metric_shard_folds_total`` once and ships the growth in
-        dropped histogram samples since the previous call.
-        """
-        dropped = self.samples_dropped_total()
-        with self._lock:
-            delta = dropped - self._dropped_reported
-            self._dropped_reported = dropped
-        self.counter(
-            SHARD_FOLD_COUNTER,
-            help="Shard folds performed at metric exposition time.",
-        ).inc()
-        if delta > 0:
-            self.counter(
-                SAMPLES_DROPPED_COUNTER,
-                help="Histogram observations batch-attributed by sampling.",
-            ).inc(delta)
 
     def merge(self, snapshot: Dict[str, dict]) -> None:
         """Fold a :meth:`snapshot` from another registry into this one.
@@ -900,13 +642,7 @@ class MetricsRegistry:
             for child in data.get("children", ()):
                 labels = child.get("labels", {})
                 if kind == "counter":
-                    target = self.counter(name, help_text, **labels)
-                    # A derived counter (histogram-count alias) gets its
-                    # cross-process total through the source histogram's
-                    # bucket merge below; folding the snapshot value too
-                    # would double-count every remote event.
-                    if not target.derived:
-                        target.inc(child["value"])
+                    self.counter(name, help_text, **labels).inc(child["value"])
                 elif kind == "gauge":
                     # Gauges are levels, but across processes the only
                     # meaningful fold is additive (resident records in
@@ -1032,7 +768,6 @@ class NullRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: Optional[int] = None,
         **labels: object,
     ) -> _NullMetric:
         return NULL_METRIC
@@ -1043,7 +778,6 @@ class NullRegistry:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: Optional[int] = None,
         labels: Optional[Dict[str, object]] = None,
     ) -> _NullMetric:
         return NULL_METRIC
@@ -1065,12 +799,6 @@ class NullRegistry:
         return None
 
     def reset(self) -> None:
-        pass
-
-    def samples_dropped_total(self) -> int:
-        return 0
-
-    def account_exposition(self) -> None:
         pass
 
     def merge(self, snapshot: Dict[str, dict]) -> None:

@@ -37,8 +37,8 @@ sorting, family lookup) by *binding* a handle once at import time::
 
 A :class:`BoundMetric` caches the resolved child and is re-resolved
 eagerly by :func:`enable`/:func:`disable` (handles register in a weak
-set), so the enabled cost of an update is a single delegation to one
-lock-free shard add — no staleness check on the hot path.
+set), so the enabled cost of an update is a single delegation to the
+child's locked add — no staleness check on the hot path.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from repro.obs.events import StructuredLog
 from repro.obs.metrics import (
     NULL_METRIC,
     NULL_REGISTRY,
-    SAMPLES_DROPPED_COUNTER,
-    SHARD_FOLD_COUNTER,
     Counter,
     Gauge,
     Histogram,
@@ -78,13 +76,25 @@ TRACING: bool = False
 #: Tracing *or* an event log: spans must be real objects, not fused
 #: fast paths, because something downstream consumes them.
 DETAILED: bool = False
+#: ``repro_traces_total`` on the active registry while tracing, the
+#: null metric otherwise: root spans count themselves through this
+#: resolved child instead of a by-name lookup per trace.
+TRACES = NULL_METRIC
 
 
 def _refresh_flags() -> None:
-    global ACTIVE, TRACING, DETAILED
+    global ACTIVE, TRACING, DETAILED, TRACES
     ACTIVE = _active is not None
     TRACING = ACTIVE and _trace_buffer is not None
     DETAILED = TRACING or _event_log is not None
+    TRACES = (
+        _active.counter(
+            "repro_traces_total",
+            help="Traces started (root spans opened while tracing).",
+        )
+        if TRACING
+        else NULL_METRIC
+    )
 
 #: Every live BoundMetric; enable()/disable() re-resolve them eagerly
 #: so updates are a single delegation with no staleness check.
@@ -150,20 +160,8 @@ def enable(
         _event_log = event_log
     if trace is not None:
         _trace_buffer = trace
-        # PR 3/4 convention: pre-register so the series exports at zero.
-        _active.counter(
-            "repro_traces_total",
-            help="Traces started (root spans opened while tracing).",
-        )
-    # Telemetry-about-telemetry series export at zero from the start.
-    _active.counter(
-        SHARD_FOLD_COUNTER,
-        help="Shard folds performed at metric exposition time.",
-    )
-    _active.counter(
-        SAMPLES_DROPPED_COUNTER,
-        help="Histogram observations batch-attributed by sampling.",
-    )
+    # Telemetry-about-telemetry series export at zero from the start
+    # (``repro_traces_total`` too, while tracing: see _refresh_flags).
     _active.counter(
         PROFILE_RUNS_COUNTER,
         help="Profiling sessions completed (cprofile or wall engine).",
@@ -207,13 +205,13 @@ def histogram(
     name: str,
     help: str = "",
     buckets: Optional[Sequence[float]] = None,
-    sample_rate: Optional[int] = None,
     **labels: object,
 ) -> Histogram:
     """Histogram ``name`` on the active registry (no-op when disabled)."""
-    return registry().histogram(name, help, buckets, sample_rate, **labels)
+    return registry().histogram(name, help, buckets, **labels)
 
 
+# Kept: by-name lookups instead cost +14.2 pts of enabled slowdown (observability.md)
 class BoundMetric:
     """A cached handle to one metric child, safe to create at import.
 
@@ -233,7 +231,7 @@ class BoundMetric:
     #: :meth:`resolve` assigns the child's bound methods directly, so a
     #: hot-path update is one call into the child with zero indirection.
     __slots__ = (
-        "_kind", "_name", "_help", "_buckets", "_sample_rate", "_labels",
+        "_kind", "_name", "_help", "_buckets", "_labels",
         "_child", "inc", "dec", "set", "observe", "observe_many",
         "__weakref__",
     )
@@ -244,14 +242,12 @@ class BoundMetric:
         name: str,
         help: str = "",
         buckets: Optional[Sequence[float]] = None,
-        sample_rate: Optional[int] = None,
         labels: Optional[Dict[str, object]] = None,
     ):
         self._kind = kind
         self._name = name
         self._help = help
         self._buckets = buckets
-        self._sample_rate = sample_rate
         self._labels = labels or {}
         self._child = NULL_METRIC
         self.inc = NULL_METRIC.inc
@@ -277,7 +273,6 @@ class BoundMetric:
             self._name,
             self._help,
             buckets=self._buckets,
-            sample_rate=self._sample_rate,
             labels=self._labels,
         )
         self._child = child
@@ -306,78 +301,48 @@ def bind_histogram(
     name: str,
     help: str = "",
     buckets: Optional[Sequence[float]] = None,
-    sample_rate: Optional[int] = None,
     **labels: object,
 ) -> BoundMetric:
     """A cached histogram handle (see :class:`BoundMetric`)."""
-    return BoundMetric(
-        "histogram", name, help, buckets=buckets, sample_rate=sample_rate,
-        labels=labels,
-    )
+    return BoundMetric("histogram", name, help, buckets=buckets, labels=labels)
 
 
-class BoundCountAlias:
-    """A counter family derived from a histogram's observation count.
+class LazyCounter:
+    """A counter family whose children resolve on their first event.
 
-    When a counter is an *identity* of a histogram's count — every
-    served query observes exactly one latency, so
-    ``repro_queries_total{kind}`` always equals
-    ``repro_estimate_latency_seconds_count{kind}`` — maintaining both
-    on the hot path pays twice to export one number.  This handle
-    registers the counter family and attaches the histogram as its
-    fold-time source: the counter's value is computed at scrape, the
-    hot path only feeds the histogram, and sampling keeps the count
-    exact.  Cross-process merges flow through the histogram (see
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge`).
-
-    The handle is never touched on the hot path; it exists so the
-    derived family is (re)attached on every observability toggle.
+    For hot sites with one open-ended label (upload outcomes): each
+    value of ``label`` resolves its child on the active registry once
+    and reuses it after, and a newly active registry starts empty.
+    Unlike a :class:`BoundMetric`, no registry ever exports a value it
+    did not see.  ``fixed`` labels ride on every child.
     """
 
-    __slots__ = ("_name", "_help", "_labels", "_source", "__weakref__")
+    __slots__ = ("_name", "_help", "_label", "_fixed", "_registry",
+                 "_children")
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        source: BoundMetric,
-        labels: Optional[Dict[str, object]] = None,
-    ):
+    def __init__(self, name: str, help: str, label: str, **fixed: object):
         self._name = name
         self._help = help
-        self._labels = labels or {}
-        self._source = source
-        _handles.add(self)
-        self.resolve()
+        self._label = label
+        self._fixed = fixed
+        self._registry: Optional[MetricsRegistry] = None
+        self._children: Dict[str, Counter] = {}
 
-    @property
-    def name(self) -> str:
-        """The derived counter family's name."""
-        return self._name
-
-    def resolve(self):
-        """(Re)attach the derived counter on the active registry."""
-        histogram = self._source.resolve()
-        child = registry().bind(
-            "counter", self._name, self._help, labels=self._labels
-        )
-        if isinstance(child, Counter) and isinstance(histogram, Histogram):
-            child._attach_histogram_count(histogram)
-        return child
-
-
-def bind_count_of(
-    name: str,
-    help: str,
-    source: BoundMetric,
-    **labels: object,
-) -> BoundCountAlias:
-    """Register counter ``name`` as the fold-time count of ``source``.
-
-    ``source`` must be a bound histogram handle; the counter's exported
-    value tracks its exact observation count with zero hot-path cost.
-    """
-    return BoundCountAlias(name, help, source, labels=labels)
+    def inc(self, value: str) -> None:
+        """Count one event whose label is ``value`` (no-op while disabled)."""
+        active = _active
+        if active is None:
+            return
+        if active is not self._registry:
+            self._children = {}
+            self._registry = active
+        child = self._children.get(value)
+        if child is None:
+            labels = dict(self._fixed)
+            labels[self._label] = value
+            child = active.counter(self._name, self._help, **labels)
+            self._children[value] = child
+        child.inc()
 
 
 class BoundBank:

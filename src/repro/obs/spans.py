@@ -39,13 +39,6 @@ from repro.obs.trace import SpanRecord, TraceContext
 #: Histogram fed by every closed span, labelled span=<name>.
 SPAN_HISTOGRAM = "repro_span_duration_seconds"
 
-#: Span durations sample bucket attribution (count and sum — the
-#: quantities dashboards rate() and average — stay exact; only the
-#: per-bucket split of each thread's stream is approximated).  The
-#: rate is family-wide, so every binder of :data:`SPAN_HISTOGRAM`
-#: must pass it.
-SPAN_SAMPLE_RATE = 8
-
 #: Bound duration handles per span name: names are open-ended but few,
 #: so handles are created on first close and reused ever after.
 _duration_handles: Dict[str, "runtime.BoundMetric"] = {}
@@ -61,7 +54,6 @@ def _duration_handle(name: str) -> "runtime.BoundMetric":
                 handle = runtime.bind_histogram(
                     SPAN_HISTOGRAM,
                     help="Wall-clock duration of instrumented spans.",
-                    sample_rate=SPAN_SAMPLE_RATE,
                     span=name,
                 )
                 _duration_handles[name] = handle
@@ -86,7 +78,12 @@ def current_span() -> Optional["Span"]:
 
 
 class Span:
-    """One timed scope.  Use via :func:`span`, not directly."""
+    """One timed scope.  Use via :func:`span`, not directly.
+
+    While only metrics are collected a span costs two clock reads, two
+    stack operations and one histogram observe; trace context, the
+    trace buffer and the event log are touched only while attached.
+    """
 
     __slots__ = (
         "name",
@@ -113,7 +110,6 @@ class Span:
         #: Cross-trace links added via :meth:`add_link`.
         self.links: List[TraceContext] = []
         self.start_ts = 0.0
-        self._started = 0.0
         self._parent_name: Optional[str] = None
         self._depth = 0
         self._ctx_token = None
@@ -148,14 +144,11 @@ class Span:
             self._parent_name = stack[-1].name
         self._depth = len(stack)
         stack.append(self)
-        if runtime.tracing():
+        if runtime.TRACING:
             self.parent_context = trace_mod.current()
             if self.parent_context is None:
                 trace_id = trace_mod.new_trace_id()
-                runtime.counter(
-                    "repro_traces_total",
-                    help="Traces started (root spans opened while tracing).",
-                ).inc()
+                runtime.TRACES.inc()
             else:
                 trace_id = self.parent_context.trace_id
             self.context = TraceContext(trace_id, trace_mod.new_span_id())
@@ -172,110 +165,52 @@ class Span:
         if self._ctx_token is not None:
             trace_mod.restore(self._ctx_token)
             self._ctx_token = None
-        if runtime.enabled():
-            _duration_handle(self.name).observe(self.duration)
-            buffer = runtime.trace_buffer()
-            if buffer is not None and self.context is not None:
-                # ``attrs`` is handed over, not copied: it is the
-                # span-private dict built from ``span()``'s kwargs, and
-                # the span is closed.
-                buffer.record(
-                    SpanRecord(
-                        trace_id=self.context.trace_id,
-                        span_id=self.context.span_id,
-                        parent_id=(
-                            self.parent_context.span_id
-                            if self.parent_context is not None
-                            else None
-                        ),
-                        name=self.name,
-                        start=self.start_ts,
-                        duration=self.duration,
-                        attrs=self.attrs,
-                        error=exc_type.__name__ if exc_type is not None else None,
-                        links=tuple(self.links),
-                    )
-                )
-            log = runtime.event_log()
-            if log is not None:
-                extra = {}
-                if self.context is not None:
-                    extra["trace_id"] = self.context.trace_id
-                    extra["span_id"] = self.context.span_id
-                log.emit(
-                    "span",
-                    self.name,
-                    duration_seconds=self.duration,
-                    parent=self._parent_name,
-                    depth=self._depth,
-                    error=exc_type.__name__ if exc_type is not None else None,
-                    **extra,
-                    **self.attrs,
-                )
-        return False
-
-
-class _MetricSpan:
-    """Metrics-only span: nesting stack + duration histogram, nothing else.
-
-    :func:`span` hands these out when neither tracing nor an event log
-    is active — the overwhelmingly common enabled configuration — so
-    the per-span cost is two clock reads, two stack operations and one
-    histogram observe.  The trace-facing surface (``context``,
-    ``links``, :meth:`add_link`) is present but inert, matching what a
-    full :class:`Span` reports when tracing is off.  A trace buffer or
-    event log attached *while* such a span is open is picked up only
-    by spans opened afterwards.
-    """
-
-    __slots__ = (
-        "name", "attrs", "duration", "_started", "_parent_name", "_depth",
-    )
-
-    #: Trace context never exists in metrics-only mode.
-    context = None
-    parent_context = None
-    links: List[TraceContext] = []
-    start_ts = 0.0
-
-    def __init__(self, name: str, attrs: Dict[str, object]):
-        self.name = name
-        self.attrs = attrs
-        self.duration: Optional[float] = None
-        self._parent_name: Optional[str] = None
-        self._depth = 0
-
-    @property
-    def parent_name(self) -> Optional[str]:
-        """Name of the enclosing span at entry, or None at top level."""
-        return self._parent_name
-
-    @property
-    def depth(self) -> int:
-        """Nesting depth at entry (0 = top level)."""
-        return self._depth
-
-    def add_link(self, context) -> bool:
-        """Links need trace context; always False in metrics-only mode."""
-        return False
-
-    def __enter__(self) -> "_MetricSpan":
-        stack = _stack()
-        if stack:
-            self._parent_name = stack[-1].name
-        self._depth = len(stack)
-        stack.append(self)
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.duration = time.perf_counter() - self._started
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
         if runtime.ACTIVE:
             _duration_handle(self.name).observe(self.duration)
+            if runtime.DETAILED:
+                self._export(exc_type)
         return False
+
+    def _export(self, exc_type) -> None:
+        """Hand the closed span to the trace buffer and/or event log."""
+        buffer = runtime.trace_buffer()
+        if buffer is not None and self.context is not None:
+            # ``attrs`` is handed over, not copied: it is the
+            # span-private dict built from ``span()``'s kwargs, and
+            # the span is closed.
+            buffer.record(
+                SpanRecord(
+                    trace_id=self.context.trace_id,
+                    span_id=self.context.span_id,
+                    parent_id=(
+                        self.parent_context.span_id
+                        if self.parent_context is not None
+                        else None
+                    ),
+                    name=self.name,
+                    start=self.start_ts,
+                    duration=self.duration,
+                    attrs=self.attrs,
+                    error=exc_type.__name__ if exc_type is not None else None,
+                    links=tuple(self.links),
+                )
+            )
+        log = runtime.event_log()
+        if log is not None:
+            extra = {}
+            if self.context is not None:
+                extra["trace_id"] = self.context.trace_id
+                extra["span_id"] = self.context.span_id
+            log.emit(
+                "span",
+                self.name,
+                duration_seconds=self.duration,
+                parent=self._parent_name,
+                depth=self._depth,
+                error=exc_type.__name__ if exc_type is not None else None,
+                **extra,
+                **self.attrs,
+            )
 
 
 class _NullSpan:
@@ -328,20 +263,18 @@ def span(name: str, **attrs: object):
     """
     if not runtime.ACTIVE:
         return _NULL_SPAN
-    if runtime.DETAILED:
-        return Span(name, attrs)
-    return _MetricSpan(name, attrs)
+    return Span(name, attrs)
 
 
 def trace_span(name: str, **attrs: object):
     """A span only when it will be externally visible.
 
-    Hands out a full :class:`Span` while a trace buffer or event log
-    is attached, and the shared no-op otherwise.  For call sites whose
+    Hands out a :class:`Span` while a trace buffer or event log is
+    attached, and the shared no-op otherwise.  For call sites whose
     duration histogram is fed by fused accounting the site already
     performs (e.g. ``CentralServer._observe_query``) — a metrics-only
-    :class:`_MetricSpan` there would duplicate both the clock reads
-    and the histogram observation.
+    span there would duplicate both the clock reads and the histogram
+    observation.
     """
     if runtime.DETAILED:
         return Span(name, attrs)

@@ -19,12 +19,7 @@ from repro.core.results import PointEstimate, PointToPointEstimate
 from repro.exceptions import ConfigurationError, CoverageError
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod
-from repro.obs.spans import (
-    SPAN_HISTOGRAM,
-    SPAN_SAMPLE_RATE,
-    add_link,
-    trace_span,
-)
+from repro.obs.spans import SPAN_HISTOGRAM, add_link, trace_span
 from repro.rsu.record import TrafficRecord
 from repro.server.cache import DEFAULT_MAX_ENTRIES, JoinCache
 from repro.server.degradation import (
@@ -111,27 +106,18 @@ _QUERY_KINDS = (
     "point_to_point",
     "point_persistent_series",
 )
-_QUERY_HELP = "Queries served by the central server."
-#: Latency buckets are sampled (count/sum stay exact, only bucket
-#: attribution is approximated) — queries are the hottest span-wrapped
-#: endpoint and the exact per-bucket split of microsecond estimates is
-#: not worth a full bisect per call.
 _QUERY_LATENCY = {
     kind: obs.bind_histogram(
         "repro_estimate_latency_seconds",
         "Wall-clock latency of answering one query.",
-        sample_rate=8,
         kind=kind,
     )
     for kind in _QUERY_KINDS
 }
-#: ``repro_queries_total{kind}`` is an identity of the latency
-#: histogram's exact count (every served query observes exactly one
-#: latency), so it is derived at fold time and never touched on the
-#: hot path.
 _QUERY_TOTAL = {
-    kind: obs.bind_count_of(
-        "repro_queries_total", _QUERY_HELP, _QUERY_LATENCY[kind], kind=kind
+    kind: obs.bind_counter(
+        "repro_queries_total", "Queries served by the central server.",
+        kind=kind,
     )
     for kind in _QUERY_KINDS
 }
@@ -139,10 +125,10 @@ _QUERY_TOTAL = {
 #: and the ``server.query`` span duration is fed from the elapsed time
 #: ``_observe_query`` already measured — one clock pair per query
 #: instead of two, no span object, no stack traffic.
+#: Kept: a real span here cost +2.6 pts of enabled slowdown (observability.md).
 _QUERY_SPAN_DURATION = obs.bind_histogram(
     SPAN_HISTOGRAM,
     "Wall-clock duration of instrumented spans.",
-    sample_rate=SPAN_SAMPLE_RATE,
     span="server.query",
 )
 
@@ -398,15 +384,16 @@ class CentralServer:
     def _observe_query(kind: str, started: float) -> None:
         """Account one served query (only called while obs is enabled).
 
-        One sampled histogram observe covers both the latency series
-        and the per-kind query count (``repro_queries_total`` is
-        derived from the histogram's exact count at fold time).  The
-        ``server.query`` span duration is fused in here too — unless a
-        full :class:`~repro.obs.spans.Span` is open (tracing or event
-        log active), which records the duration itself on exit.
+        The latency observe and the per-kind query count sit side by
+        side, so ``repro_queries_total`` always equals the latency
+        histogram's ``_count``.  The ``server.query`` span duration is
+        fused in here too — unless a real
+        :class:`~repro.obs.spans.Span` is open (tracing or event log
+        active), which records the duration itself on exit.
         """
         elapsed = time.perf_counter() - started
         _QUERY_LATENCY[kind].observe(elapsed)
+        _QUERY_TOTAL[kind].inc()
         if not obs.DETAILED:
             _QUERY_SPAN_DURATION.observe(elapsed)
 

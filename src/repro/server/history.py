@@ -30,8 +30,7 @@ from repro.sketch.sizing import bitmap_size_for_volume
 #: (volume observations, the location gauge) is recorded by
 #: :meth:`~repro.server.central.CentralServer.receive_record` through
 #: its fused counter bank; the location gauge accumulates +1 on first
-#: sight of a location (the map never shrinks), so every path stays
-#: lock-free.
+#: sight of a location (the map never shrinks).
 _HISTORY_LOCATIONS = obs.bind_gauge(
     "repro_history_locations",
     "Locations with a tracked volume average.",

@@ -31,29 +31,22 @@ from repro.server.queries import PointToPointPersistentQuery
 _PROGRESS_EVERY = 64
 
 
-def _preregister_pair_metrics() -> None:
-    """Register the pair counters so exports carry zeros from the start."""
-    obs.counter(
-        "repro_flow_pairs_total",
-        "Location pairs evaluated by planner studies.",
-    )
-    obs.counter(
-        "repro_flow_pairs_skipped_total",
-        "Planner pairs skipped because their estimate degenerated.",
-    )
+def _pair_counters():
+    """``(evaluated, skipped)`` pair counters, resolved once per study.
 
-
-def _count_pair(skipped: bool) -> None:
-    """Account one evaluated pair (only called while obs is enabled)."""
-    obs.counter(
-        "repro_flow_pairs_total",
-        "Location pairs evaluated by planner studies.",
-    ).inc()
-    if skipped:
+    Resolving registers both, so exports carry zeros from the start;
+    while obs is disabled both are no-op metrics.
+    """
+    return (
+        obs.counter(
+            "repro_flow_pairs_total",
+            "Location pairs evaluated by planner studies.",
+        ),
         obs.counter(
             "repro_flow_pairs_skipped_total",
             "Planner pairs skipped because their estimate degenerated.",
-        ).inc()
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,7 @@ def rank_persistent_sources(
         raise ConfigurationError("at least one candidate source is required")
     if int(target) in {int(c) for c in candidates}:
         raise ConfigurationError("the target cannot be its own source")
-    if obs.ACTIVE:
-        _preregister_pair_metrics()
+    pairs, skips = _pair_counters()
     ranked: List[RankedSource] = []
     with span("planner.rank_sources", target=target, candidates=len(candidates)):
         for candidate in candidates:
@@ -103,11 +95,10 @@ def rank_persistent_sources(
             try:
                 estimate = server.point_to_point_persistent(query)
             except EstimationError:
-                if obs.ACTIVE:
-                    _count_pair(skipped=True)
+                pairs.inc()
+                skips.inc()
                 continue
-            if obs.ACTIVE:
-                _count_pair(skipped=False)
+            pairs.inc()
             ranked.append(
                 RankedSource(location=int(candidate), estimate=estimate)
             )
@@ -136,8 +127,7 @@ def persistent_flow_matrix(
     distinct = sorted({int(loc) for loc in locations})
     if len(distinct) < 2:
         raise ConfigurationError("a flow matrix needs at least two locations")
-    if obs.ACTIVE:
-        _preregister_pair_metrics()
+    pairs, skips = _pair_counters()
     total = len(distinct) * (len(distinct) - 1) // 2
     done = 0
     skipped = 0
@@ -154,12 +144,10 @@ def persistent_flow_matrix(
                     estimate = server.point_to_point_persistent(query)
                 except EstimationError:
                     skipped += 1
-                    if obs.ACTIVE:
-                        _count_pair(skipped=True)
+                    skips.inc()
                 else:
                     matrix[(location_a, location_b)] = estimate.clamped
-                    if obs.ACTIVE:
-                        _count_pair(skipped=False)
+                pairs.inc()
                 done += 1
                 if obs.ACTIVE and (
                     done % _PROGRESS_EVERY == 0 or done == total

@@ -251,6 +251,11 @@ class ShardedCoordinator:
         #: replies (attached by the service when cluster collection is
         #: wired up).
         self.telemetry_collector = None
+        self._routed = obs.LazyCounter(
+            "repro_ingest_frames_total",
+            "Upload frames routed by the sharded front door, by outcome.",
+            "outcome",
+        )
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, self._router.n_shards),
             thread_name_prefix="shard-fanout",
@@ -290,17 +295,9 @@ class ShardedCoordinator:
     # Ingest
     # ------------------------------------------------------------------
 
-    def _count_routed(self, outcome: str) -> None:
-        if obs.ACTIVE:
-            obs.counter(
-                "repro_ingest_frames_total",
-                "Upload frames routed by the sharded front door, by outcome.",
-                outcome=outcome,
-            ).inc()
-
     def _unrouted(self, frame: bytes, reason: str) -> dict:
         self.dead_letters.append(reason, frame, attempts=1)
-        self._count_routed("unrouted")
+        self._routed.inc("unrouted")
         return {"outcome": "quarantined", "reason": reason}
 
     def ingest_frame(
@@ -330,7 +327,7 @@ class ShardedCoordinator:
         except DeadlineExceededError:
             _count_deadline("shard")
             return {"outcome": "rejected", "reason": "deadline"}
-        self._count_routed(ack.get("outcome", "unknown"))
+        self._routed.inc(ack.get("outcome", "unknown"))
         return ack
 
     def ingest_batch(

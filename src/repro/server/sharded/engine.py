@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from repro.exceptions import (
     CoverageError,
     DataError,
+    ProtocolError,
     ReproError,
     TransportError,
 )
@@ -41,21 +42,63 @@ from repro.obs.spans import trace_span
 from repro.rsu.record import TrafficRecord
 from repro.server.central import CentralServer
 from repro.server.degradation import CoveragePolicy
-from repro.server.queries import (
-    PointPersistentQuery,
-    PointVolumeQuery,
-)
+from repro.server.queries import PointPersistentQuery
 from repro.server.sharded import wire
 from repro.server.sharded.wal import ShardWriteAheadLog
 
 
+def protocol_error(message: str) -> dict:
+    """The typed reply to a query the server cannot act on."""
+    return {"ok": False, "error": message, "error_kind": "protocol"}
+
+
+def _query_int(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            f"query field {field!r} must hold integers, got {value!r}"
+        )
+    return value
+
+
+def query_field(payload: dict, field: str):
+    """``payload[field]`` checked for shape, else :class:`ProtocolError`.
+
+    ``location`` must be an integer; ``locations`` and ``periods`` must
+    be lists of integers.
+    """
+    if field not in payload:
+        raise ProtocolError(f"query lacks the {field!r} field")
+    value = payload[field]
+    if field == "location":
+        return _query_int(value, field)
+    if not isinstance(value, list):
+        raise ProtocolError(
+            f"query field {field!r} must be a list, got {value!r}"
+        )
+    return [_query_int(item, field) for item in value]
+
+
 def policy_from_payload(payload: Optional[dict]) -> Optional[CoveragePolicy]:
-    """Rebuild a coverage policy from its JSON form (None stays None)."""
+    """Rebuild a coverage policy from its JSON form (None stays None).
+
+    A policy that is not an object, or whose fields are not numbers,
+    raises :class:`ProtocolError`; out-of-range numbers raise the
+    policy's own :class:`~repro.exceptions.ConfigurationError`.
+    """
     if payload is None:
         return None
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"query policy must be an object, got {payload!r}")
+    min_coverage = payload.get("min_coverage", 0.5)
+    if isinstance(min_coverage, bool) or not isinstance(
+        min_coverage, (int, float)
+    ):
+        raise ProtocolError(
+            f"policy min_coverage must be a number, got {min_coverage!r}"
+        )
     return CoveragePolicy(
-        min_coverage=payload.get("min_coverage", 0.5),
-        min_periods=payload.get("min_periods", 2),
+        min_coverage=min_coverage,
+        min_periods=_query_int(payload.get("min_periods", 2), "min_periods"),
     )
 
 
@@ -89,37 +132,20 @@ class ShardEngine:
         )
         self.wal = wal
         self.dead_letters = DeadLetterLog(dead_letter_path)
-        # Bound counter children by outcome, valid for one registry
-        # generation; resolving labels through the registry on every
-        # frame is measurable at ingest rates.
-        self._upload_counters: dict = {}
-        self._upload_counter_registry = None
+        self._uploads = obs.LazyCounter(
+            "repro_shard_uploads_total",
+            "Upload frames handled at a shard edge, by outcome.",
+            "outcome",
+            shard=str(self.shard_id),
+        )
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
 
-    def _count_upload(self, outcome: str) -> None:
-        if not obs.ACTIVE:
-            return
-        registry = obs.registry()
-        if registry is not self._upload_counter_registry:
-            self._upload_counters.clear()
-            self._upload_counter_registry = registry
-        child = self._upload_counters.get(outcome)
-        if child is None:
-            child = registry.counter(
-                "repro_shard_uploads_total",
-                "Upload frames handled at a shard edge, by outcome.",
-                shard=str(self.shard_id),
-                outcome=outcome,
-            )
-            self._upload_counters[outcome] = child
-        child.inc()
-
     def _quarantine(self, reason: str, frame: bytes, context=None) -> dict:
         self.dead_letters.append(reason, frame, attempts=1, context=context)
-        self._count_upload("quarantined")
+        self._uploads.inc("quarantined")
         return {"outcome": "quarantined", "reason": reason}
 
     def handle_frame(self, frame: bytes) -> dict:
@@ -167,7 +193,7 @@ class ShardEngine:
         except DataError:
             return self._quarantine("conflict", frame, context)
         if not added:
-            self._count_upload("duplicate")
+            self._uploads.inc("duplicate")
             return {
                 "outcome": "duplicate",
                 "reason": "byte-identical re-upload",
@@ -183,7 +209,7 @@ class ShardEngine:
                     self.wal.append(payload)
             else:
                 self.wal.append(payload)
-        self._count_upload("delivered")
+        self._uploads.inc("delivered")
         return {"outcome": "delivered", "reason": ""}
 
     def handle_batch(
@@ -229,12 +255,6 @@ class ShardEngine:
         )
         return self.server.point_persistent(query, policy=policy)
 
-    def point_volume(self, location: int, period: int) -> float:
-        """Eq. 1 on one of this shard's records."""
-        return self.server.point_volume(
-            PointVolumeQuery(location=int(location), period=int(period))
-        )
-
     def covered_periods(self, location: int, periods: Sequence[int]):
         """Which requested periods this shard holds for a location."""
         return self.server.store.covered_periods(location, periods)
@@ -254,8 +274,11 @@ class ShardEngine:
         context) is activated around the query so the shard-side span
         joins the caller's trace once shipped; ``"explain": true`` adds
         an ``explain`` breakdown (engine latency, cache hit/miss delta)
-        to the reply.
+        to the reply.  A payload that is not a JSON object, or lacks or
+        mistypes a field its kind needs, gets a ``protocol`` error.
         """
+        if not isinstance(payload, dict):
+            return protocol_error("a query must be a JSON object")
         kind = payload.get("kind")
         if deadline is not None and deadline.expired:
             if obs.ACTIVE:
@@ -324,30 +347,26 @@ class ShardEngine:
             if kind == "point_persistent":
                 policy = policy_from_payload(payload.get("policy"))
                 result = self.point_persistent(
-                    payload["location"], payload["periods"], policy
+                    query_field(payload, "location"),
+                    query_field(payload, "periods"),
+                    policy,
                 )
                 if policy is None:
                     return {"ok": True, "result": wire.encode_estimate(result)}
                 return {"ok": True, "result": wire.encode_degraded(result)}
-            if kind == "point_volume":
-                estimate = self.point_volume(
-                    payload["location"], payload["period"]
-                )
-                return {"ok": True, "result": wire.encode_estimate(estimate)}
             if kind == "covered_periods":
                 covered = self.covered_periods(
-                    payload["location"], payload["periods"]
+                    query_field(payload, "location"),
+                    query_field(payload, "periods"),
                 )
                 return {"ok": True, "result": list(covered)}
+        except ProtocolError as exc:
+            return protocol_error(str(exc))
         except CoverageError as exc:
             return {"ok": False, "error": str(exc), "error_kind": "coverage"}
         except ReproError as exc:
             return {"ok": False, "error": str(exc), "error_kind": "data"}
-        return {
-            "ok": False,
-            "error": f"unknown query kind {kind!r}",
-            "error_kind": "protocol",
-        }
+        return protocol_error(f"unknown query kind {kind!r}")
 
     def telemetry(self) -> dict:
         """Drain this shard's buffered spans/bindings for shipping.

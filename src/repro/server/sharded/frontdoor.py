@@ -26,6 +26,7 @@ from repro.exceptions import (
     CoverageError,
     DataError,
     DeadlineExceededError,
+    ProtocolError,
     ReproError,
     TransportError,
     WireProtocolError,
@@ -42,7 +43,11 @@ from repro.server.sharded.coordinator import (
     ShardDownError,
     ShardedCoordinator,
 )
-from repro.server.sharded.engine import policy_from_payload
+from repro.server.sharded.engine import (
+    policy_from_payload,
+    protocol_error,
+    query_field,
+)
 from repro.server.sharded.merge import LocationOutcome, ShardedQueryResult
 
 logger = logging.getLogger("repro.server.sharded")
@@ -549,30 +554,29 @@ class FrontDoor:
     def _query(
         self, payload: dict, deadline: Optional[wire.Deadline] = None
     ) -> dict:
+        if not isinstance(payload, dict):
+            return protocol_error("a query must be a JSON object")
         kind = payload.get("kind")
         try:
             if kind == "multi_point_persistent":
                 result = self.coordinator.multi_point_persistent(
-                    payload["locations"],
-                    payload["periods"],
+                    query_field(payload, "locations"),
+                    query_field(payload, "periods"),
                     policy_from_payload(payload.get("policy")),
                     deadline=deadline,
                     explain=bool(payload.get("explain")),
                 )
                 return {"ok": True, "result": encode_sharded_result(result)}
             if kind in ("point_persistent", "covered_periods"):
-                backend = self.coordinator.backend_for(payload["location"])
+                location = query_field(payload, "location")
+                periods = query_field(payload, "periods")
+                backend = self.coordinator.backend_for(location)
                 if kind == "covered_periods":
-                    covered = backend.covered_periods(
-                        payload["location"], payload["periods"]
-                    )
+                    covered = backend.covered_periods(location, periods)
                     return {"ok": True, "result": list(covered)}
                 policy = policy_from_payload(payload.get("policy"))
                 result = backend.point_persistent(
-                    payload["location"],
-                    payload["periods"],
-                    policy,
-                    deadline=deadline,
+                    location, periods, policy, deadline=deadline
                 )
                 from repro.server.degradation import DegradedResult
 
@@ -582,6 +586,8 @@ class FrontDoor:
                         "result": wire.encode_degraded(result),
                     }
                 return {"ok": True, "result": wire.encode_estimate(result)}
+        except ProtocolError as exc:
+            return protocol_error(str(exc))
         except ShardDownError as exc:
             return {"ok": False, "error": str(exc), "error_kind": "shard_down"}
         except DeadlineExceededError as exc:
@@ -590,8 +596,4 @@ class FrontDoor:
             return {"ok": False, "error": str(exc), "error_kind": "coverage"}
         except ReproError as exc:
             return {"ok": False, "error": str(exc), "error_kind": "data"}
-        return {
-            "ok": False,
-            "error": f"unknown query kind {kind!r}",
-            "error_kind": "protocol",
-        }
+        return protocol_error(f"unknown query kind {kind!r}")

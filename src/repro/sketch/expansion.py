@@ -42,19 +42,15 @@ def expansion_factor(source_size: int, target_size: int) -> int:
 
 
 #: Bound handle: this is the hottest instrumentation site in the tree
-#: (one observation per input bitmap per join), so it is doubly
-#: cheapened: joins batch a whole group of same-ratio inputs into one
-#: ``observe_many`` call (:func:`observe_expansion_group`), and the
-#: histogram samples bucket attribution — count/sum stay exact, only
-#: the per-bucket split is approximated (see docs/observability.md).
-#: The exact expansion count is ``repro_expansion_ratio_count``; a
-#: separate counter series would double the hot-path cost to say the
-#: same number.
+#: (one observation per input bitmap per join), so joins batch a whole
+#: group of same-ratio inputs into one ``observe_many`` call
+#: (:func:`observe_expansion_group`).  The exact expansion count is
+#: ``repro_expansion_ratio_count``; a separate counter series would
+#: double the hot-path cost to say the same number.
 _EXPANSION_RATIO = obs.bind_histogram(
     "repro_expansion_ratio",
     "Replication factor m/l of each expansion (count = expansions).",
     buckets=POW2_BUCKETS,
-    sample_rate=16,
 )
 
 

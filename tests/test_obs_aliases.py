@@ -1,18 +1,12 @@
-"""Fold-time aliases: one hot-path write, several exported series.
-
-Two aliasing mechanisms keep the instrumentation surface rich while
-the hot path pays for each fact exactly once:
+"""Series that must agree: aliases and fused accounting.
 
 * **Bank column aliases** — a bank field spec may name another field's
-  cell column; the aliased child then reads that column at fold time
+  cell column; the aliased child then reads that column
   (``repro_store_records`` and ``repro_volume_observations_total``
   mirror the ``ingested`` column this way).
-* **Histogram-count aliases** — a counter bound via
-  ``obs.bind_count_of`` derives its value from a histogram's exact
-  observation count (``repro_queries_total{kind}`` is an identity of
-  ``repro_estimate_latency_seconds_count{kind}``), so counting a
-  query costs nothing beyond the latency observation the site already
-  makes.
+* **Query counts** — ``repro_queries_total{kind}`` is counted next to
+  the latency observation, so it always equals
+  ``repro_estimate_latency_seconds_count{kind}``.
 
 Both must survive cross-process ``merge`` without double counting,
 and span fusion / ratio-1 skips must not lose or duplicate events.
@@ -124,11 +118,11 @@ class TestHistogramCountAliases:
             )
 
     def test_merge_does_not_double_count(self):
-        """A derived counter takes its remote total from the histogram.
+        """A merge adds each remote query to both series exactly once.
 
         The worker snapshot carries both the counter value and the
-        histogram series; a registry with derivation active must fold
-        only the histogram, or every remote query would count twice.
+        histogram series; each must land once, or every remote query
+        would count twice in one of them.
         """
         parent = obs.enable(registry=MetricsRegistry())
         _exercise_server()  # 2 local queries
@@ -147,7 +141,7 @@ class TestHistogramCountAliases:
             )
 
     def test_plain_registry_merge_unaffected(self):
-        """Without derivation (plain registries), counters merge as-is."""
+        """Counters from a plain registry merge as-is."""
         parent = MetricsRegistry()
         worker = MetricsRegistry()
         worker.counter("repro_queries_total", kind="benchmark").inc(3)

@@ -93,11 +93,7 @@ class TestServerCounters:
         reg = runtime.enable(registry=MetricsRegistry())
         try:
             snapshot = reg.snapshot()
-            assert {
-                "repro_histogram_samples_dropped_total",
-                "repro_metric_shard_folds_total",
-                "repro_profile_runs_total",
-            } <= set(snapshot)
+            assert "repro_profile_runs_total" in snapshot
             for name, family in snapshot.items():
                 for child in family["children"]:
                     if "value" in child:

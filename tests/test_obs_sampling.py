@@ -1,29 +1,20 @@
-"""Sampled-histogram accuracy contract.
+"""Histogram exactness contract.
 
-``sample_rate=N`` histograms batch bucket attribution — every Nth
-observation per thread pays the bucket search and carries the pending
-tail with it — but the contract is that the *aggregate* quantities
-stay exact: ``count`` and ``sum`` match an unsampled reference to the
-unit, through folds, ``merge_cumulative`` and Prometheus round-trips
-alike.  Only the per-bucket split of each thread's stream is
-approximated.  These tests pin that contract with seeded workloads.
+Every observation is bucketed exactly: ``count``, ``sum`` and the
+per-bucket split match a hand-computed reference to the unit, through
+``merge_cumulative``, registry merges and Prometheus round-trips alike.
+These tests pin that contract with seeded workloads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
-from repro.obs.export import (
-    parse_prometheus,
-    registry_from_prometheus,
-    to_prometheus,
-)
-from repro.obs.metrics import (
-    SAMPLES_DROPPED_COUNTER,
-    SHARD_FOLD_COUNTER,
-    MetricsRegistry,
-)
+from repro.obs.export import registry_from_prometheus, to_prometheus
+from repro.obs.metrics import MetricsRegistry
 
 BUCKETS = (0.5, 1.0, 2.0, 4.0)
 
@@ -42,7 +33,7 @@ class TestAggregateExactness:
     def test_count_and_sum_match_unsampled_reference(self, registry):
         values = _seeded_values()
         sampled = registry.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=4
+            "repro_sampled_seconds", buckets=BUCKETS
         )
         reference = registry.histogram(
             "repro_reference_seconds", buckets=BUCKETS
@@ -55,42 +46,17 @@ class TestAggregateExactness:
         assert sampled.sum == pytest.approx(sum(values))
 
     def test_per_bucket_split_stays_close(self, registry):
-        """Bucket attribution is approximate but not wild.
-
-        A batch lands in its trigger observation's bucket, so a bucket
-        can be off by at most the in-flight batches; over thousands of
-        i.i.d. observations the split stays within a few percent of
-        the true distribution.
-        """
+        """The per-bucket split is the exact distribution of the values."""
         values = _seeded_values(count=8000)
-        sampled = registry.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=4
-        )
-        reference = registry.histogram(
-            "repro_reference_seconds", buckets=BUCKETS
+        histogram = registry.histogram(
+            "repro_sampled_seconds", buckets=BUCKETS
         )
         for value in values:
-            sampled.observe(value)
-            reference.observe(value)
-        for approx, exact in zip(
-            sampled.bucket_counts(), reference.bucket_counts()
-        ):
-            assert abs(approx - exact) <= 0.10 * len(values)
-
-    def test_pending_tail_still_counted(self, registry):
-        """Fewer observations than the rate are still visible at scrape."""
-        histogram = registry.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=16
-        )
-        histogram.observe(0.25)
-        histogram.observe(0.25)
-        histogram.observe(0.25)
-        assert histogram.count == 3
-        assert histogram.sum == pytest.approx(0.75)
-        # The fold attributes the tail without consuming it: folding
-        # again must not double-count.
-        assert histogram.count == 3
-        assert histogram.samples_dropped == 0
+            histogram.observe(value)
+        expected = [0] * (len(BUCKETS) + 1)
+        for value in values:
+            expected[bisect_left(BUCKETS, value)] += 1
+        assert histogram.bucket_counts() == expected
 
     def test_observe_many_unsampled_equals_repeated_observe(self, registry):
         grouped = registry.histogram("repro_grouped_seconds", buckets=BUCKETS)
@@ -104,27 +70,15 @@ class TestAggregateExactness:
         assert grouped.sum == pytest.approx(repeated.sum)
         assert grouped.bucket_counts() == repeated.bucket_counts()
 
-    def test_observe_many_sampled_keeps_totals_exact(self, registry):
-        histogram = registry.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=8
-        )
-        histogram.observe(0.1)  # pending tail the group will carry
-        histogram.observe_many(2.5, 20)
-        assert histogram.count == 21
-        assert histogram.sum == pytest.approx(0.1 + 2.5 * 20)
-        # Only the carried tail counts as dropped; the group itself is
-        # bucketed exactly.
-        assert histogram.samples_dropped == 1
-
 
 class TestExactThroughAggregation:
     def test_merge_cumulative_exact(self, registry):
         values = _seeded_values(count=1000, seed=11)
         worker = registry.histogram(
-            "repro_worker_seconds", buckets=BUCKETS, sample_rate=4
+            "repro_worker_seconds", buckets=BUCKETS
         )
         parent = registry.histogram(
-            "repro_parent_seconds", buckets=BUCKETS, sample_rate=4
+            "repro_parent_seconds", buckets=BUCKETS
         )
         for value in values:
             worker.observe(value)
@@ -141,7 +95,7 @@ class TestExactThroughAggregation:
         values = _seeded_values(count=1500, seed=3)
         source = MetricsRegistry()
         histogram = source.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=4
+            "repro_sampled_seconds", buckets=BUCKETS
         )
         for value in values:
             histogram.observe(value)
@@ -157,7 +111,7 @@ class TestExactThroughAggregation:
         worker = MetricsRegistry()
         for reg in (parent, worker):
             reg.histogram(
-                "repro_sampled_seconds", buckets=BUCKETS, sample_rate=4
+                "repro_sampled_seconds", buckets=BUCKETS
             )
         for value in values:
             worker.get("repro_sampled_seconds").labels().observe(value)
@@ -165,28 +119,3 @@ class TestExactThroughAggregation:
         merged = parent.get("repro_sampled_seconds").labels()
         assert merged.count == len(values)
         assert merged.sum == pytest.approx(sum(values))
-
-
-class TestTelemetryAboutSampling:
-    def test_dropped_samples_surface_at_exposition(self, registry):
-        histogram = registry.histogram(
-            "repro_sampled_seconds", buckets=BUCKETS, sample_rate=4
-        )
-        for value in _seeded_values(count=400, seed=2):
-            histogram.observe(value)
-        assert histogram.samples_dropped > 0
-        registry.account_exposition()
-        samples = parse_prometheus(to_prometheus(registry))
-        assert samples[(SHARD_FOLD_COUNTER, ())] == 1.0
-        assert samples[(SAMPLES_DROPPED_COUNTER, ())] == float(
-            histogram.samples_dropped
-        )
-
-    def test_unsampled_histogram_drops_nothing(self, registry):
-        histogram = registry.histogram(
-            "repro_reference_seconds", buckets=BUCKETS
-        )
-        for value in _seeded_values(count=400, seed=2):
-            histogram.observe(value)
-        assert histogram.samples_dropped == 0
-        assert registry.samples_dropped_total() == 0

@@ -32,6 +32,28 @@ _PERIODS = tuple(range(4))
 _BITS = 128
 _POLICY = CoveragePolicy(min_coverage=0.5, min_periods=2)
 
+#: Query bodies no endpoint can act on, by shape.
+_MALFORMED = {
+    "not_an_object": [_LOCATIONS[0], list(_PERIODS)],
+    "no_location": {"kind": "point_persistent", "periods": [0, 1]},
+    "no_locations": {"kind": "multi_point_persistent", "periods": [0, 1]},
+    "no_periods": {"kind": "covered_periods", "location": 1},
+    "string_location": {
+        "kind": "point_persistent", "location": "1", "periods": [0, 1],
+    },
+    "float_period": {
+        "kind": "covered_periods", "location": 1, "periods": [0, 1.5],
+    },
+    "policy_not_an_object": {
+        "kind": "point_persistent", "location": 1, "periods": [0, 1],
+        "policy": [0.5, 2],
+    },
+    "policy_not_a_number": {
+        "kind": "point_persistent", "location": 1, "periods": [0, 1],
+        "policy": {"min_coverage": "half"},
+    },
+}
+
 
 def _record(location, period):
     rng = np.random.default_rng([_SEED, location, period])
@@ -183,6 +205,26 @@ class TestRemoteQueryParity:
         reply = client.query({"kind": "divination"})
         assert not reply["ok"]
         assert reply["error_kind"] == "protocol"
+
+    @pytest.mark.parametrize("body", _MALFORMED.values(), ids=list(_MALFORMED))
+    def test_malformed_query_is_a_typed_error(self, tier, body):
+        _service, client = tier
+        reply = client.query(body)
+        assert not reply["ok"]
+        assert reply["error_kind"] == "protocol"
+        assert client.ping()
+
+    @pytest.mark.parametrize("body", _MALFORMED.values(), ids=list(_MALFORMED))
+    def test_malformed_shard_query_is_a_typed_error(self, tier, body):
+        service, _client = tier
+        shard = ShardClient("127.0.0.1", service.shard_port(0))
+        try:
+            reply = shard.query(body)
+            assert not reply["ok"]
+            assert reply["error_kind"] == "protocol"
+            assert shard.ping()
+        finally:
+            shard.close()
 
 
 class TestTransportWireBackend:
