@@ -328,8 +328,8 @@ class LazyCounter:
         self._registry: Optional[MetricsRegistry] = None
         self._children: Dict[str, Counter] = {}
 
-    def inc(self, value: str) -> None:
-        """Count one event whose label is ``value`` (no-op while disabled)."""
+    def inc(self, value: str, amount: int = 1) -> None:
+        """Count ``amount`` events labelled ``value`` (no-op while disabled)."""
         active = _active
         if active is None:
             return
@@ -342,7 +342,7 @@ class LazyCounter:
             labels[self._label] = value
             child = active.counter(self._name, self._help, **labels)
             self._children[value] = child
-        child.inc()
+        child.inc(amount)
 
 
 class BoundBank:

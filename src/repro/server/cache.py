@@ -30,10 +30,20 @@ Correctness is bit-exact by construction — a cached entry *is* the
 bitmap the from-scratch join would produce — and enforced by seeded
 equivalence tests over the fig4/fig5 workloads
 (``tests/test_server_cache.py``).
+
+Concurrency: one cache serves every query and upload thread of its
+server.  A single lock guards the entries, the per-location key index
+and the running totals; lookups hold it only to probe and to insert,
+and invalidation and flushes hold it throughout.  The join itself is
+built outside the lock, so two threads missing the same key may both
+build it, and the second insert replaces the first with an identical
+join (a stored record never changes).  Readers of :attr:`stats` see
+totals that other threads keep moving.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
@@ -137,6 +147,7 @@ class JoinCache:
         self._entries: "OrderedDict[_CacheKey, object]" = OrderedDict()
         self._by_location: Dict[int, Set[_CacheKey]] = {}
         self._stats = CacheStats()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Properties
@@ -191,11 +202,15 @@ class JoinCache:
 
     def _lookup(self, key: _CacheKey, build: Callable[[], object]) -> object:
         kind = key[0]
-        cached = self._entries.get(key)
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is None:
+                self._stats.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self._stats.hits += 1
         if cached is not None:
             value, built_context = cached
-            self._entries.move_to_end(key)
-            self._stats.hits += 1
             if obs.ACTIVE:
                 _HITS[kind].inc()
                 # A cache-served query still causally depends on the
@@ -203,19 +218,21 @@ class JoinCache:
                 if built_context is not None:
                     add_link(built_context)
             return value
-        self._stats.misses += 1
         if obs.ACTIVE:
             _MISSES[kind].inc()
         value = build()  # may raise (missing records); nothing cached then
         built_context = trace_mod.current() if obs.TRACING else None
-        self._entries[key] = (value, built_context)
-        self._by_location.setdefault(key[1], set()).add(key)
-        while len(self._entries) > self._max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._forget(evicted)
-            self._stats.evictions += 1
-            if obs.ACTIVE:
-                _EVICTIONS.inc()
+        evicted = 0
+        with self._lock:
+            self._entries[key] = (value, built_context)
+            self._by_location.setdefault(key[1], set()).add(key)
+            while len(self._entries) > self._max_entries:
+                oldest, _ = self._entries.popitem(last=False)
+                self._forget(oldest)
+                evicted += 1
+            self._stats.evictions += evicted
+        if evicted and obs.ACTIVE:
+            _EVICTIONS.inc(evicted)
         return value
 
     def _forget(self, key: _CacheKey) -> None:
@@ -248,37 +265,40 @@ class JoinCache:
         conflicting-upload case, where something upstream misbehaved).
         """
         location = int(location)
-        keys = self._by_location.get(location)
-        if not keys:
-            return 0
-        if period is None:
-            doomed = list(keys)
-        else:
-            period = int(period)
-            doomed = [k for k in keys if period in self._period_set(k)]
-        for key in doomed:
-            del self._entries[key]
-            self._forget(key)
-        return self._account_invalidation(len(doomed), reason)
+        with self._lock:
+            keys = self._by_location.get(location)
+            if not keys:
+                return 0
+            if period is None:
+                doomed = list(keys)
+            else:
+                period = int(period)
+                doomed = [k for k in keys if period in self._period_set(k)]
+            for key in doomed:
+                del self._entries[key]
+                self._forget(key)
+            self._stats.invalidations += len(doomed)
+        return self._count_invalidation(len(doomed), reason)
 
     def flush(self, reason: str = "flush") -> int:
         """Drop every entry (archive repair/recover); returns the count."""
-        dropped = len(self._entries)
-        self._entries.clear()
-        self._by_location.clear()
-        return self._account_invalidation(dropped, reason)
-
-    def _account_invalidation(self, dropped: int, reason: str) -> int:
-        if dropped:
+        with self._lock:
+            dropped = len(self._entries)
+            self._entries.clear()
+            self._by_location.clear()
             self._stats.invalidations += dropped
-            if obs.ACTIVE:
-                handle = _INVALIDATIONS.get(reason)
-                if handle is None:  # uncatalogued reason string
-                    obs.counter(
-                        "repro_join_cache_invalidations_total",
-                        "Cached joins dropped by invalidation, by reason.",
-                        reason=reason,
-                    ).inc(dropped)
-                else:
-                    handle.inc(dropped)
+        return self._count_invalidation(dropped, reason)
+
+    @staticmethod
+    def _count_invalidation(dropped: int, reason: str) -> int:
+        if dropped and obs.ACTIVE:
+            handle = _INVALIDATIONS.get(reason)
+            if handle is None:  # uncatalogued reason string
+                obs.counter(
+                    "repro_join_cache_invalidations_total",
+                    "Cached joins dropped by invalidation, by reason.",
+                    reason=reason,
+                ).inc(dropped)
+            else:
+                handle.inc(dropped)
         return dropped

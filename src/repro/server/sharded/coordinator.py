@@ -1,9 +1,10 @@
 """Routing and fan-out over abstract shard backends.
 
 The coordinator is the brain the front door and the in-process tests
-share: it routes upload frames by location hash, fans multi-location
-queries out to the owning shards, and folds the per-shard answers —
-including the silence of dead shards — into one honest
+share: it routes upload frames by location hash, sends each shard one
+request carrying every location of a multi-location query that it
+owns, and folds the per-location answers — including the silence of
+dead shards — into one honest
 :class:`~repro.server.sharded.merge.ShardedQueryResult`.
 
 Backends come in two flavours with the same duck type:
@@ -39,7 +40,7 @@ from repro.server.degradation import (
     CoverageReport,
     DegradedResult,
 )
-from repro.server.sharded.engine import ShardEngine
+from repro.server.sharded.engine import ShardEngine, count_deadline
 from repro.server.sharded.merge import LocationOutcome, ShardedQueryResult
 from repro.server.sharded.router import ShardRouter
 from repro.server.sharded.wire import Deadline, peek_location
@@ -49,13 +50,20 @@ class ShardDownError(TransportError):
     """A shard backend is unreachable (process dead, socket refused)."""
 
 
-def _count_deadline(stage: str) -> None:
-    if obs.ACTIVE:
-        obs.counter(
-            "repro_deadline_exceeded_total",
-            "Requests aborted because their deadline expired, by stage.",
-            stage=stage,
-        ).inc()
+def _outcome(location: int, shard: int, answer, periods) -> LocationOutcome:
+    """One location's merged outcome from its shard's answer or error."""
+    if isinstance(answer, ReproError):
+        return LocationOutcome(
+            location=location, shard=shard, result=None, error=str(answer)
+        )
+    if not isinstance(answer, DegradedResult):
+        # A strict (policy-less) answer implies full coverage; normalize
+        # so merging is uniform.
+        answer = DegradedResult(
+            value=answer,
+            coverage=CoverageReport(requested=periods, covered=periods),
+        )
+    return LocationOutcome(location=location, shard=shard, result=answer)
 
 
 class FencedShardBackend:
@@ -84,7 +92,7 @@ class FencedShardBackend:
         self._down()
 
     def point_persistent(
-        self, location, periods, policy, deadline=None, **observe
+        self, locations, periods, policy, deadline=None, **observe
     ):
         self._down()
 
@@ -144,55 +152,35 @@ class LocalShardBackend:
 
     def point_persistent(
         self,
-        location: int,
+        locations: Sequence[int],
         periods: Sequence[int],
         policy: Optional[CoveragePolicy],
         deadline: Optional[Deadline] = None,
         trace=None,
         explain: Optional[dict] = None,
-    ):
-        """The engine call, optionally observed.
+    ) -> list:
+        """The engine's per-location outcomes, optionally observed.
 
         ``trace`` (a :class:`~repro.obs.trace.TraceContext`) parents
         the shard-side query span to the caller's fan-out span;
         ``explain`` is an out-parameter dict this backend fills with
-        its timing attribution (engine latency; no wire cost
-        in-process).
+        the engine's timing attribution (no wire cost in-process).
         """
         self._check()
-        if deadline is not None and deadline.expired:
-            _count_deadline("shard")
-            raise DeadlineExceededError(
-                f"deadline expired before shard {self.engine.shard_id} "
-                f"could answer location {location}"
-            )
-        if trace is None and explain is None:
-            return self.engine.point_persistent(location, periods, policy)
-        from repro.obs import trace as trace_mod
 
-        token = trace_mod.activate(trace) if trace is not None else None
-        started = time.perf_counter()
-        try:
-            if trace is not None:
-                with trace_span(
-                    "shard.query",
-                    shard=str(self.engine.shard_id),
-                    kind="point_persistent",
-                ):
-                    result = self.engine.point_persistent(
-                        location, periods, policy
-                    )
-            else:
-                result = self.engine.point_persistent(
-                    location, periods, policy
-                )
-        finally:
-            if token is not None:
-                trace_mod.restore(token)
+        def call():
+            return self.engine.point_persistent(
+                locations, periods, policy, deadline
+            )
+
+        if trace is None and explain is None:
+            return call()
+        outcomes, detail = self.engine.observed(
+            trace, explain is not None, call
+        )
         if explain is not None:
-            explain["shard"] = self.engine.shard_id
-            explain["engine_seconds"] = time.perf_counter() - started
-        return result
+            explain.update(detail)
+        return outcomes
 
     def covered_periods(self, location: int, periods: Sequence[int]):
         self._check()
@@ -312,7 +300,7 @@ class ShardedCoordinator:
         the sender still owns it and will retry or dead-letter it.
         """
         if deadline is not None and deadline.expired:
-            _count_deadline("front_door")
+            count_deadline("front_door")
             return {"outcome": "rejected", "reason": "deadline"}
         location = peek_location(frame)
         if location is None:
@@ -325,7 +313,7 @@ class ShardedCoordinator:
         except ShardDownError:
             return self._unrouted(frame, "shard_down")
         except DeadlineExceededError:
-            _count_deadline("shard")
+            count_deadline("shard")
             return {"outcome": "rejected", "reason": "deadline"}
         self._routed.inc(ack.get("outcome", "unknown"))
         return ack
@@ -338,7 +326,9 @@ class ShardedCoordinator:
         Frames are grouped by owning shard and each group ships as one
         sub-batch on the coordinator's thread pool, so N shard
         processes parse and store concurrently.  Returns summed
-        outcome counts over the whole batch.
+        outcome counts over the whole batch.  Each outcome a shard
+        reports for its sub-batch counts on ``repro_ingest_frames_total``,
+        as :meth:`ingest_frame` counts one ack.
         """
         counts = {"delivered": 0, "duplicate": 0, "quarantined": 0}
         groups: Dict[int, List[bytes]] = {}
@@ -354,7 +344,7 @@ class ShardedCoordinator:
 
         def _ship(shard: int, group: List[bytes]) -> dict:
             try:
-                return self._backends[shard].deliver_batch(
+                shipped = self._backends[shard].deliver_batch(
                     group, deadline=deadline
                 )
             except ShardDownError:
@@ -364,8 +354,12 @@ class ShardedCoordinator:
             except DeadlineExceededError:
                 # The budget ran out before the sub-batch even shipped;
                 # the sender still owns these frames.
-                _count_deadline("shard")
+                count_deadline("shard")
                 return {"aborted": len(group)}
+            for outcome, count in shipped.items():
+                if count:
+                    self._routed.inc(outcome, count)
+            return shipped
 
         if len(groups) <= 1:
             results = [_ship(s, g) for s, g in groups.items()]
@@ -376,12 +370,6 @@ class ShardedCoordinator:
         for result in results:
             for outcome, count in result.items():
                 counts[outcome] = counts.get(outcome, 0) + count
-        if obs.ACTIVE and counts["delivered"]:
-            obs.counter(
-                "repro_ingest_frames_total",
-                "Upload frames routed by the sharded front door, by outcome.",
-                outcome="delivered",
-            ).inc(counts["delivered"])
         return counts
 
     # ------------------------------------------------------------------
@@ -398,16 +386,17 @@ class ShardedCoordinator:
     ) -> ShardedQueryResult:
         """One Eq. 12 estimate per location, merged across shards.
 
-        Locations are grouped by owning shard and each shard's
-        sub-queries run on one fan-out thread; a dead shard (or a
-        shard refusing a location for coverage reasons) yields a
-        ``result=None`` outcome and its cells surface in
+        Locations are grouped by owning shard, and each group goes to
+        its shard as one request on its own fan-out thread.  The shard
+        answers or refuses (coverage floor, missing data) each location
+        on its own; a refused location, and every location of a dead
+        shard, yields a ``result=None`` outcome whose cells surface in
         :attr:`~repro.server.sharded.merge.ShardedQueryResult.uncovered`
-        — the answer degrades, it never lies.  With a ``deadline``,
-        each per-location sub-query checks the remaining budget before
-        it starts; locations the budget never reached come back as
-        unanswered outcomes (their cells uncovered), so a slow shard
-        costs coverage, not correctness.
+        — the answer degrades, it never lies.  With a ``deadline``, a
+        group whose budget ran out before its request was sent comes
+        back unanswered whole, and a shard whose budget runs out
+        mid-request stops between locations and leaves the rest
+        unanswered, so a slow shard costs coverage, not correctness.
 
         With ``explain=True`` the merged result carries a timing and
         attribution breakdown
@@ -428,9 +417,7 @@ class ShardedCoordinator:
             ).inc()
         budget = deadline.remaining if deadline is not None else None
         started = time.perf_counter()
-        shard_details: Optional[Dict[str, dict]] = (
-            {} if want_explain else None
-        )
+        shard_details: Dict[str, dict] = {}
 
         fanout = trace_span(
             "server.fanout",
@@ -445,102 +432,46 @@ class ShardedCoordinator:
             def _query_shard(
                 shard: int, group: List[int]
             ) -> List[LocationOutcome]:
-                backend = self._backends[shard]
-                outcomes = []
-                detail = None
-                if shard_details is not None:
-                    detail = {
-                        "locations": len(group),
-                        "answered": 0,
-                        "errors": 0,
-                        "wall_seconds": 0.0,
-                        "engine_seconds": 0.0,
-                        "wire_seconds": 0.0,
-                        "cache_hits": 0,
-                        "cache_lookups": 0,
-                    }
-                    shard_details[str(shard)] = detail
+                probe: Optional[dict] = {} if want_explain else None
                 shard_started = time.perf_counter()
-                for location in group:
-                    if deadline is not None and deadline.expired:
-                        _count_deadline("fanout")
-                        if detail is not None:
-                            detail["errors"] += 1
-                        outcomes.append(
-                            LocationOutcome(
-                                location=location,
-                                shard=shard,
-                                result=None,
-                                error="deadline expired before the sub-query",
-                            )
+                if deadline is not None and deadline.expired:
+                    count_deadline("fanout")
+                    answers = [
+                        DeadlineExceededError(
+                            "deadline expired before the shard request "
+                            "was sent"
                         )
-                        continue
-                    observe = {}
-                    if context is not None:
-                        observe["trace"] = context
-                    probe: Optional[dict] = None
-                    if detail is not None:
-                        probe = {}
-                        observe["explain"] = probe
+                    ] * len(group)
+                else:
                     try:
-                        result = backend.point_persistent(
-                            location,
+                        answers = self._backends[shard].point_persistent(
+                            group,
                             periods,
                             policy,
                             deadline=deadline,
-                            **observe,
+                            trace=context,
+                            explain=probe,
                         )
-                    except ShardDownError as exc:
-                        if detail is not None:
-                            detail["errors"] += 1
-                        outcomes.append(
-                            LocationOutcome(
-                                location=location,
-                                shard=shard,
-                                result=None,
-                                error=str(exc),
-                            )
-                        )
-                        continue
                     except ReproError as exc:
-                        if detail is not None:
-                            detail["errors"] += 1
-                        outcomes.append(
-                            LocationOutcome(
-                                location=location,
-                                shard=shard,
-                                result=None,
-                                error=str(exc),
-                            )
-                        )
-                        continue
-                    if detail is not None:
-                        detail["answered"] += 1
-                        if probe:
-                            for key in ("engine_seconds", "wire_seconds"):
-                                if key in probe:
-                                    detail[key] += float(probe[key])
-                            for key in ("cache_hits", "cache_lookups"):
-                                if key in probe:
-                                    detail[key] += int(probe[key])
-                    if not isinstance(result, DegradedResult):
-                        # A strict (policy-less) answer implies full
-                        # coverage; normalize so merging is uniform.
-                        result = DegradedResult(
-                            value=result,
-                            coverage=CoverageReport(
-                                requested=periods, covered=periods
-                            ),
-                        )
-                    outcomes.append(
-                        LocationOutcome(
-                            location=location, shard=shard, result=result
-                        )
-                    )
-                if detail is not None:
-                    detail["wall_seconds"] = (
-                        time.perf_counter() - shard_started
-                    )
+                        answers = [exc] * len(group)
+                outcomes = [
+                    _outcome(location, shard, answer, periods)
+                    for location, answer in zip(group, answers)
+                ]
+                if probe is not None:
+                    answered = sum(o.answered for o in outcomes)
+                    shard_details[str(shard)] = {
+                        "locations": len(group),
+                        "answered": answered,
+                        "errors": len(group) - answered,
+                        "wall_seconds": time.perf_counter() - shard_started,
+                        "engine_seconds": float(
+                            probe.get("engine_seconds", 0.0)
+                        ),
+                        "wire_seconds": float(probe.get("wire_seconds", 0.0)),
+                        "cache_hits": int(probe.get("cache_hits", 0)),
+                        "cache_lookups": int(probe.get("cache_lookups", 0)),
+                    }
                 return outcomes
 
             if len(groups) <= 1:
@@ -564,7 +495,7 @@ class ShardedCoordinator:
                 explain_payload = self._build_explain(
                     ordered,
                     periods,
-                    shard_details or {},
+                    shard_details,
                     total_seconds=time.perf_counter() - started,
                     budget=budget,
                     deadline=deadline,

@@ -29,8 +29,8 @@ import time
 from typing import Optional, Sequence
 
 from repro.exceptions import (
-    CoverageError,
     DataError,
+    DeadlineExceededError,
     ProtocolError,
     ReproError,
     TransportError,
@@ -50,6 +50,16 @@ from repro.server.sharded.wal import ShardWriteAheadLog
 def protocol_error(message: str) -> dict:
     """The typed reply to a query the server cannot act on."""
     return {"ok": False, "error": message, "error_kind": "protocol"}
+
+
+def count_deadline(stage: str) -> None:
+    """Count one request aborted because its deadline expired."""
+    if obs.ACTIVE:
+        obs.counter(
+            "repro_deadline_exceeded_total",
+            "Requests aborted because their deadline expired, by stage.",
+            stage=stage,
+        ).inc()
 
 
 def _query_int(value, field: str) -> int:
@@ -227,13 +237,7 @@ class ShardEngine:
         counts = {"delivered": 0, "duplicate": 0, "quarantined": 0}
         for index, frame in enumerate(frames):
             if deadline is not None and deadline.expired:
-                if obs.ACTIVE:
-                    obs.counter(
-                        "repro_deadline_exceeded_total",
-                        "Requests aborted because their deadline "
-                        "expired, by stage.",
-                        stage="shard",
-                    ).inc()
+                count_deadline("shard")
                 counts["aborted"] = len(frames) - index
                 break
             counts[self.handle_frame(frame)["outcome"]] += 1
@@ -245,19 +249,91 @@ class ShardEngine:
 
     def point_persistent(
         self,
-        location: int,
+        locations: Sequence[int],
         periods: Sequence[int],
         policy: Optional[CoveragePolicy] = None,
-    ):
-        """Eq. 12 on this shard's records (raises like the server)."""
-        query = PointPersistentQuery(
-            location=int(location), periods=tuple(periods)
-        )
-        return self.server.point_persistent(query, policy=policy)
+        deadline: Optional[wire.Deadline] = None,
+    ) -> list:
+        """Eq. 12 on this shard's records for each location, in order.
+
+        Each entry is the server's answer for its location or the
+        :class:`~repro.exceptions.ReproError` it raised (coverage
+        floor, missing data), so a refused location costs its
+        neighbours nothing.  With a ``deadline``, the budget is checked
+        before each location: once it has run out, every location not
+        yet started gets a
+        :class:`~repro.exceptions.DeadlineExceededError` entry, and the
+        abort counts once at ``stage="shard"``.
+        """
+        periods = tuple(periods)
+        outcomes: list = []
+        for location in locations:
+            if deadline is not None and deadline.expired:
+                count_deadline("shard")
+                outcomes.extend(
+                    DeadlineExceededError(
+                        f"deadline expired before shard {self.shard_id} "
+                        f"could answer location {late}"
+                    )
+                    for late in locations[len(outcomes):]
+                )
+                break
+            try:
+                query = PointPersistentQuery(
+                    location=int(location), periods=periods
+                )
+                outcomes.append(
+                    self.server.point_persistent(query, policy=policy)
+                )
+            except ReproError as exc:
+                outcomes.append(exc)
+        return outcomes
 
     def covered_periods(self, location: int, periods: Sequence[int]):
         """Which requested periods this shard holds for a location."""
         return self.server.store.covered_periods(location, periods)
+
+    def observed(self, context, explain: bool, call):
+        """``call()`` under a caller's trace and/or explain timing.
+
+        With a :class:`~repro.obs.trace.TraceContext`, the call runs in
+        one ``shard.query`` span parented to the caller's fan-out span.
+        Returns ``(result, detail)``; with ``explain``, ``detail`` holds
+        the engine latency and the join cache's hit and lookup deltas,
+        else it is None.  The deltas subtract the cache's running
+        totals, which every query on this shard shares, so a query
+        running concurrently on the same shard counts in them too.
+        """
+        token = trace_mod.activate(context) if context is not None else None
+        cache = getattr(self.server, "cache", None)
+        # ``cache.stats`` is the live running-total object, so the
+        # before-side must copy the scalars, not hold the reference.
+        hits_before = cache.stats.hits if cache is not None else 0
+        lookups_before = cache.stats.lookups if cache is not None else 0
+        started = time.perf_counter()
+        try:
+            if context is not None:
+                with trace_span(
+                    "shard.query",
+                    shard=str(self.shard_id),
+                    kind="point_persistent",
+                ):
+                    result = call()
+            else:
+                result = call()
+        finally:
+            if token is not None:
+                trace_mod.restore(token)
+        if not explain:
+            return result, None
+        detail = {
+            "shard": self.shard_id,
+            "engine_seconds": time.perf_counter() - started,
+        }
+        if cache is not None:
+            detail["cache_hits"] = cache.stats.hits - hits_before
+            detail["cache_lookups"] = cache.stats.lookups - lookups_before
+        return result, detail
 
     # ------------------------------------------------------------------
     # JSON boundary (shared by the worker process)
@@ -270,6 +346,13 @@ class ShardEngine:
     ) -> dict:
         """Answer one JSON query; errors come back as typed payloads.
 
+        ``multi_point_persistent`` answers Eq. 12 for all of its
+        ``locations`` in one reply, ``{"ok": true, "results": [...]}``:
+        one :func:`~repro.server.sharded.wire.encode_outcome` entry per
+        location, in request order, each an answer or a typed
+        ``coverage``, ``data`` or ``deadline`` error that uncovers that
+        location only.  The ``deadline`` is checked between locations.
+
         A ``"trace"`` field (24 hex chars, the serialized fan-out span
         context) is activated around the query so the shard-side span
         joins the caller's trace once shipped; ``"explain": true`` adds
@@ -280,22 +363,6 @@ class ShardEngine:
         if not isinstance(payload, dict):
             return protocol_error("a query must be a JSON object")
         kind = payload.get("kind")
-        if deadline is not None and deadline.expired:
-            if obs.ACTIVE:
-                obs.counter(
-                    "repro_deadline_exceeded_total",
-                    "Requests aborted because their deadline expired, "
-                    "by stage.",
-                    stage="shard",
-                ).inc()
-            return {
-                "ok": False,
-                "error": (
-                    f"deadline expired before shard {self.shard_id} "
-                    f"started the {kind!r} query"
-                ),
-                "error_kind": "deadline",
-            }
         context = None
         if obs.tracing():
             raw = payload.get("trace")
@@ -303,69 +370,39 @@ class ShardEngine:
                 context = trace_mod.TraceContext.from_bytes(
                     raw.encode("ascii", "replace")
                 )
-        if payload.get("explain") or context is not None:
-            return self._query_observed(payload, kind, context)
-        return self._answer_query(payload, kind)
-
-    def _query_observed(
-        self, payload: dict, kind, context
-    ) -> dict:
-        """Run one query under its caller's trace and/or explain timing."""
-        token = trace_mod.activate(context) if context is not None else None
-        cache = getattr(self.server, "cache", None)
-        # ``cache.stats`` is the live running-total object, so the
-        # before-side must copy the scalars, not hold the reference.
-        hits_before = cache.stats.hits if cache is not None else 0
-        lookups_before = cache.stats.lookups if cache is not None else 0
-        started = time.perf_counter()
-        try:
-            if context is not None:
-                with trace_span(
-                    "shard.query", shard=str(self.shard_id), kind=str(kind)
-                ):
-                    reply = self._answer_query(payload, kind)
-            else:
-                reply = self._answer_query(payload, kind)
-        finally:
-            if token is not None:
-                trace_mod.restore(token)
-        if payload.get("explain"):
-            detail = {
-                "shard": self.shard_id,
-                "engine_seconds": time.perf_counter() - started,
-            }
-            if cache is not None:
-                detail["cache_hits"] = cache.stats.hits - hits_before
-                detail["cache_lookups"] = (
-                    cache.stats.lookups - lookups_before
-                )
+        explain = bool(payload.get("explain"))
+        if not explain and context is None:
+            return self._answer_query(payload, kind, deadline)
+        reply, detail = self.observed(
+            context,
+            explain,
+            lambda: self._answer_query(payload, kind, deadline),
+        )
+        if detail is not None:
             reply["explain"] = detail
         return reply
 
-    def _answer_query(self, payload: dict, kind) -> dict:
+    def _answer_query(self, payload: dict, kind, deadline) -> dict:
         try:
-            if kind == "point_persistent":
-                policy = policy_from_payload(payload.get("policy"))
-                result = self.point_persistent(
-                    query_field(payload, "location"),
+            if kind == "multi_point_persistent":
+                outcomes = self.point_persistent(
+                    query_field(payload, "locations"),
                     query_field(payload, "periods"),
-                    policy,
+                    policy_from_payload(payload.get("policy")),
+                    deadline,
                 )
-                if policy is None:
-                    return {"ok": True, "result": wire.encode_estimate(result)}
-                return {"ok": True, "result": wire.encode_degraded(result)}
+                return {
+                    "ok": True,
+                    "results": [wire.encode_outcome(o) for o in outcomes],
+                }
             if kind == "covered_periods":
                 covered = self.covered_periods(
                     query_field(payload, "location"),
                     query_field(payload, "periods"),
                 )
                 return {"ok": True, "result": list(covered)}
-        except ProtocolError as exc:
-            return protocol_error(str(exc))
-        except CoverageError as exc:
-            return {"ok": False, "error": str(exc), "error_kind": "coverage"}
         except ReproError as exc:
-            return {"ok": False, "error": str(exc), "error_kind": "data"}
+            return wire.error_reply(exc)
         return protocol_error(f"unknown query kind {kind!r}")
 
     def telemetry(self) -> dict:

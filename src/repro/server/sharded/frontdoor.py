@@ -22,15 +22,7 @@ import time
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exceptions import (
-    CoverageError,
-    DataError,
-    DeadlineExceededError,
-    ProtocolError,
-    ReproError,
-    TransportError,
-    WireProtocolError,
-)
+from repro.exceptions import ReproError, TransportError, WireProtocolError
 from repro.faults.transport import parse_frame
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod
@@ -45,6 +37,7 @@ from repro.server.sharded.coordinator import (
 )
 from repro.server.sharded.engine import (
     policy_from_payload,
+    policy_to_payload,
     protocol_error,
     query_field,
 )
@@ -157,41 +150,29 @@ class RemoteShardBackend:
         with self._client() as client:
             return client.upload_batch(frames, deadline=deadline)
 
-    @staticmethod
-    def _raise_remote(reply: dict) -> None:
-        kind = reply.get("error_kind")
-        message = reply.get("error", "remote query failed")
-        if kind == "coverage":
-            raise CoverageError(message)
-        if kind == "deadline":
-            raise DeadlineExceededError(message)
-        if kind == "data":
-            raise DataError(message)
-        raise TransportError(message)
-
     def point_persistent(
         self,
-        location: int,
+        locations: Sequence[int],
         periods: Sequence[int],
         policy: Optional[CoveragePolicy],
         deadline: Optional[wire.Deadline] = None,
         trace=None,
         explain: Optional[dict] = None,
-    ):
-        """The remote query, optionally observed.
+    ) -> list:
+        """Every location's outcome from one remote request.
 
-        ``trace`` (a :class:`~repro.obs.trace.TraceContext`) rides the
-        JSON payload so the worker parents its query span to the
-        caller's fan-out span; ``explain`` is an out-parameter dict
-        filled with the worker's breakdown plus this side's measured
-        wire round-trip.
+        Returns one entry per location, in order: the answer, or the
+        typed error (coverage, data, deadline) that refused that
+        location alone.  ``trace`` (a
+        :class:`~repro.obs.trace.TraceContext`) rides the JSON payload
+        so the worker parents its query span to the caller's fan-out
+        span; ``explain`` is an out-parameter dict filled with the
+        worker's breakdown plus this side's measured round trip.
         """
-        from repro.server.sharded.engine import policy_to_payload
-
         payload = {
-            "kind": "point_persistent",
-            "location": int(location),
-            "periods": list(int(p) for p in periods),
+            "kind": "multi_point_persistent",
+            "locations": [int(location) for location in locations],
+            "periods": [int(p) for p in periods],
             "policy": policy_to_payload(policy),
         }
         if trace is not None:
@@ -211,11 +192,14 @@ class RemoteShardBackend:
                 0.0, round_trip - float(detail.get("engine_seconds", 0.0))
             )
         if not reply.get("ok"):
-            self._raise_remote(reply)
-        result = reply["result"]
-        if result.get("type") == "degraded":
-            return wire.decode_degraded(result)
-        return wire.decode_estimate(result)
+            raise wire.remote_error(reply)
+        results = reply.get("results")
+        if not isinstance(results, list) or len(results) != len(locations):
+            raise TransportError(
+                f"shard {self.shard_id} sent a malformed reply to a "
+                f"{len(locations)}-location query"
+            )
+        return [wire.decode_outcome(entry) for entry in results]
 
     def covered_periods(self, location: int, periods: Sequence[int]):
         payload = {
@@ -226,7 +210,7 @@ class RemoteShardBackend:
         with self._client() as client:
             reply = client.query(payload)
         if not reply.get("ok"):
-            self._raise_remote(reply)
+            raise wire.remote_error(reply)
         return tuple(reply["result"])
 
     def stats(self) -> dict:
@@ -574,26 +558,15 @@ class FrontDoor:
                 if kind == "covered_periods":
                     covered = backend.covered_periods(location, periods)
                     return {"ok": True, "result": list(covered)}
-                policy = policy_from_payload(payload.get("policy"))
-                result = backend.point_persistent(
-                    location, periods, policy, deadline=deadline
+                (outcome,) = backend.point_persistent(
+                    [location],
+                    periods,
+                    policy_from_payload(payload.get("policy")),
+                    deadline=deadline,
                 )
-                from repro.server.degradation import DegradedResult
-
-                if isinstance(result, DegradedResult):
-                    return {
-                        "ok": True,
-                        "result": wire.encode_degraded(result),
-                    }
-                return {"ok": True, "result": wire.encode_estimate(result)}
-        except ProtocolError as exc:
-            return protocol_error(str(exc))
+                return wire.encode_outcome(outcome)
         except ShardDownError as exc:
             return {"ok": False, "error": str(exc), "error_kind": "shard_down"}
-        except DeadlineExceededError as exc:
-            return {"ok": False, "error": str(exc), "error_kind": "deadline"}
-        except CoverageError as exc:
-            return {"ok": False, "error": str(exc), "error_kind": "coverage"}
         except ReproError as exc:
-            return {"ok": False, "error": str(exc), "error_kind": "data"}
+            return wire.error_reply(exc)
         return protocol_error(f"unknown query kind {kind!r}")

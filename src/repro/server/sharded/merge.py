@@ -1,11 +1,12 @@
 """Cross-shard coverage merging: one honest answer from N shards.
 
-A multi-location query fans out one per-location sub-query to each
-owning shard.  Each surviving shard answers with the same
-:class:`~repro.server.degradation.DegradedResult` a single-process
-server would produce for that location; a dead shard answers nothing.
-This module folds those per-location outcomes into a single result
-that never overstates coverage:
+A multi-location query sends each owning shard one request carrying
+all of its locations.  A surviving shard answers each location with
+the same :class:`~repro.server.degradation.DegradedResult` a
+single-process server would produce for it, or refuses that location
+alone; a dead shard answers nothing.  This module folds those
+per-location outcomes into a single result that never overstates
+coverage:
 
 * every ``(location, period)`` the query requested is attributed
   either to a shard answer (covered or explicitly missing) or to a
@@ -25,7 +26,7 @@ from repro.server.degradation import DegradedResult
 
 @dataclass(frozen=True)
 class LocationOutcome:
-    """What one location's owning shard said about one sub-query.
+    """What one location's owning shard said about it.
 
     Attributes
     ----------
@@ -35,7 +36,7 @@ class LocationOutcome:
         The shard that owns it.
     result:
         The shard's answer, or None when the shard was unreachable or
-        refused the sub-query (coverage floor, missing data).
+        refused the location (coverage floor, missing data, deadline).
     error:
         Human-readable reason when ``result`` is None.
     """

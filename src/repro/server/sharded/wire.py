@@ -38,7 +38,15 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.core.results import PointEstimate, PointToPointEstimate
-from repro.exceptions import TransportError, WireProtocolError
+from repro.exceptions import (
+    CoverageError,
+    DataError,
+    DeadlineExceededError,
+    ProtocolError,
+    ReproError,
+    TransportError,
+    WireProtocolError,
+)
 from repro.faults.transport import FRAME_MAGIC, TRACED_MAGIC, _HEADER_BYTES
 from repro.obs.trace import CONTEXT_BYTES
 from repro.server.degradation import CoverageReport, DegradedResult
@@ -381,3 +389,56 @@ def decode_degraded(payload: dict) -> DegradedResult:
             covered=tuple(payload["covered"]),
         ),
     )
+
+
+def error_reply(exc: ReproError) -> dict:
+    """The typed reply to a query that failed with ``exc``.
+
+    ``error_kind`` is ``protocol``, ``coverage`` or ``deadline`` for
+    those errors and ``data`` for any other library error.
+    """
+    if isinstance(exc, ProtocolError):
+        kind = "protocol"
+    elif isinstance(exc, CoverageError):
+        kind = "coverage"
+    elif isinstance(exc, DeadlineExceededError):
+        kind = "deadline"
+    else:
+        kind = "data"
+    return {"ok": False, "error": str(exc), "error_kind": kind}
+
+
+def remote_error(reply: dict) -> ReproError:
+    """The exception a shard's typed error reply stands for."""
+    kind = reply.get("error_kind")
+    message = reply.get("error", "remote query failed")
+    if kind == "coverage":
+        return CoverageError(message)
+    if kind == "deadline":
+        return DeadlineExceededError(message)
+    if kind == "data":
+        return DataError(message)
+    return TransportError(message)
+
+
+def encode_outcome(outcome) -> dict:
+    """One location's entry in an Eq. 12 reply.
+
+    An answer encodes as ``{"ok": true, "result": ...}``, a
+    :class:`~repro.exceptions.ReproError` as its :func:`error_reply`.
+    """
+    if isinstance(outcome, ReproError):
+        return error_reply(outcome)
+    if isinstance(outcome, DegradedResult):
+        return {"ok": True, "result": encode_degraded(outcome)}
+    return {"ok": True, "result": encode_estimate(outcome)}
+
+
+def decode_outcome(entry: dict):
+    """Inverse of :func:`encode_outcome`: the answer or its exception."""
+    if not entry.get("ok"):
+        return remote_error(entry)
+    result = entry["result"]
+    if result.get("type") == "degraded":
+        return decode_degraded(result)
+    return decode_estimate(result)

@@ -36,7 +36,7 @@ from repro.exceptions import TransportError, WireProtocolError
 from repro.obs import runtime as obs
 from repro.server.central import CentralServer
 from repro.server.sharded import wire
-from repro.server.sharded.engine import ShardEngine
+from repro.server.sharded.engine import ShardEngine, count_deadline
 from repro.server.sharded.wal import ShardWriteAheadLog, replay_into_archive
 
 #: File (under the shard data dir) announcing the bound port.
@@ -156,13 +156,7 @@ class _ShardHandler(socketserver.BaseRequestHandler):
                 raise WireProtocolError("nested deadline envelope")
         if msg_type == wire.MSG_UPLOAD:
             if deadline is not None and deadline.expired:
-                if obs.ACTIVE:
-                    obs.counter(
-                        "repro_deadline_exceeded_total",
-                        "Requests aborted because their deadline "
-                        "expired, by stage.",
-                        stage="shard",
-                    ).inc()
+                count_deadline("shard")
                 wire.send_json(
                     sock,
                     wire.MSG_ACK,

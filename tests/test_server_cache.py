@@ -1,5 +1,10 @@
 """The query-plan cache: bit-exact results, strict invalidation."""
 
+import random
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from repro.server.queries import (
     PointToPointPersistentQuery,
 )
 from repro.sketch.bitmap import Bitmap
+from repro.sketch.join import split_and_join
 from repro.traffic.workloads import PointToPointWorkload, PointWorkload
 
 LOCATION = 4
@@ -109,6 +115,86 @@ class TestJoinCacheUnit:
     def test_bad_max_entries_rejected(self):
         with pytest.raises(ConfigurationError):
             JoinCache(max_entries=0)
+
+
+class TestJoinCacheThreads:
+    def test_lookups_beside_invalidation_stay_consistent(self):
+        """Three lookup threads and one invalidator share a small cache.
+
+        The LRU bound evicts on most misses while entries are being
+        invalidated, so an unguarded probe-then-touch, or an index
+        iterated while another thread changes it, raises.  Every join
+        served must still be the one a from-scratch split-and-join
+        builds, and every lookup must count as one hit or one miss.
+        """
+        rng = np.random.default_rng(2017)
+        locations = list(range(6))
+        periods = list(range(4))
+        windows = [(0, 1), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3), (2, 3)]
+        bitmaps = {
+            (location, period): Bitmap(64, rng.random(64) < 0.7)
+            for location in locations
+            for period in periods
+        }
+
+        def build(location, window):
+            return split_and_join([bitmaps[location, p] for p in window])
+
+        truth = {
+            (location, window): build(location, window)
+            for location in locations
+            for window in windows
+        }
+        cache = JoinCache(max_entries=8)
+        stop = threading.Event()
+        errors, wrong = [], []
+        lookups = [0, 0, 0]
+
+        def lookup(worker):
+            pick = random.Random(worker)
+            try:
+                while not stop.is_set():
+                    location = pick.choice(locations)
+                    window = pick.choice(windows)
+                    joined = cache.split_join(
+                        location, window, lambda: build(location, window)
+                    )
+                    lookups[worker] += 1
+                    if joined != truth[location, window]:
+                        wrong.append((location, window))
+            except Exception as exc:  # noqa: BLE001 - the assertion
+                errors.append(exc)
+
+        def invalidate():
+            pick = random.Random(99)
+            try:
+                while not stop.is_set():
+                    cache.invalidate(
+                        pick.choice(locations), pick.choice([None] + periods)
+                    )
+            except Exception as exc:  # noqa: BLE001 - the assertion
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=lookup, args=(worker,))
+            for worker in range(3)
+        ] + [threading.Thread(target=invalidate)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.5)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        assert min(lookups) > 0
+        assert cache.stats.hits + cache.stats.misses == sum(lookups)
 
 
 class TestBitExactness:

@@ -14,16 +14,24 @@ import json
 import numpy as np
 import pytest
 
+from repro.exceptions import ReproError
 from repro.faults.transport import frame_payload
+from repro.obs import runtime as obs
 from repro.rsu.record import TrafficRecord
 from repro.server.central import CentralServer
-from repro.server.degradation import CoveragePolicy, DegradedResult
+from repro.server.degradation import (
+    CoveragePolicy,
+    CoverageReport,
+    DegradedResult,
+)
 from repro.server.queries import PointPersistentQuery
 from repro.server.sharded.coordinator import (
+    FencedShardBackend,
     LocalShardBackend,
     ShardedCoordinator,
 )
 from repro.server.sharded.engine import ShardEngine
+from repro.server.sharded.wire import Deadline
 from repro.sketch.bitmap import Bitmap
 
 _SEED = 2017
@@ -51,6 +59,57 @@ def _records():
         for period in _PERIODS
         if (location, period) not in _HOLES
     ]
+
+
+def _expected(server, location, periods, policy):
+    """The single-process answer, normalized as merging does, or its error."""
+    query = PointPersistentQuery(location=location, periods=periods)
+    try:
+        result = server.point_persistent(query, policy=policy)
+    except ReproError as exc:
+        return str(exc)
+    if isinstance(result, DegradedResult):
+        return result
+    return DegradedResult(
+        value=result,
+        coverage=CoverageReport(requested=periods, covered=periods),
+    )
+
+
+def _count_shard_requests(coordinator):
+    """Count each backend's ``point_persistent`` calls, by shard."""
+    calls = {}
+    for shard, backend in coordinator.backends.items():
+        calls[shard] = 0
+
+        def counted(*args, _shard=shard, _call=backend.point_persistent,
+                    **kwargs):
+            calls[_shard] += 1
+            return _call(*args, **kwargs)
+
+        backend.point_persistent = counted
+    return calls
+
+
+def _deadline_counter(stage):
+    return obs.counter(
+        "repro_deadline_exceeded_total",
+        "Requests aborted because their deadline expired, by stage.",
+        stage=stage,
+    )
+
+
+class _CountdownDeadline(Deadline):
+    """A deadline that runs out after its first ``checks`` looks."""
+
+    def __init__(self, checks):
+        super().__init__(float("inf"))
+        self.checks = checks
+
+    @property
+    def expired(self):
+        self.checks -= 1
+        return self.checks < 0
 
 
 @pytest.fixture()
@@ -131,6 +190,139 @@ class TestMergeParity:
                 )
             )
             assert outcome.result.value == expected
+
+
+class TestBatchedQueries:
+    @pytest.mark.parametrize(
+        "policy", [None, _POLICY], ids=["strict", "policy"]
+    )
+    @pytest.mark.parametrize("draw", range(5))
+    def test_every_outcome_matches_single_process(
+        self, coordinator, single_server, policy, draw
+    ):
+        rng = np.random.default_rng([_SEED, draw])
+        shuffled = [int(loc) for loc in rng.permutation(_LOCATIONS)]
+        if draw == 0:  # one location alone
+            locations = shuffled[:1]
+        elif draw == 1:  # a location asked twice
+            locations = shuffled[:2] + shuffled[:1]
+        else:
+            locations = shuffled[: int(rng.integers(2, len(shuffled) + 1))]
+        periods = tuple(
+            sorted(int(p) for p in rng.choice(_PERIODS, 3, replace=False))
+        )
+        calls = _count_shard_requests(coordinator)
+        merged = coordinator.multi_point_persistent(
+            locations, periods, policy=policy
+        )
+        assert [o.location for o in merged.outcomes] == locations
+        for outcome in merged.outcomes:
+            expected = _expected(
+                single_server, outcome.location, periods, policy
+            )
+            if isinstance(expected, str):
+                assert outcome.result is None
+                assert outcome.error == expected
+            else:
+                assert outcome.result == expected
+        owners = {coordinator.router.shard_for(loc) for loc in locations}
+        assert {s for s, n in calls.items() if n} == owners
+        assert all(n <= 1 for n in calls.values())
+
+    def test_refused_location_leaves_its_neighbours_answered(
+        self, coordinator, single_server
+    ):
+        # Location 2 holds neither period 4 nor 5: below the floor.
+        refused = 2
+        shard = coordinator.router.shard_for(refused)
+        group = [
+            loc for loc in _LOCATIONS
+            if coordinator.router.shard_for(loc) == shard
+        ]
+        assert len(group) > 1
+        periods = (4, 5)
+        calls = _count_shard_requests(coordinator)
+        merged = coordinator.multi_point_persistent(
+            group, periods, policy=_POLICY
+        )
+        assert calls[shard] == 1
+        outcome = merged.outcome_for(refused)
+        assert outcome.result is None
+        assert "policy floor" in outcome.error
+        for loc in group:
+            if loc != refused:
+                assert merged.outcome_for(loc).result == _expected(
+                    single_server, loc, periods, _POLICY
+                )
+
+    @pytest.mark.parametrize("how", ["killed", "fenced"])
+    def test_down_shard_uncovers_only_its_group(
+        self, coordinator, single_server, how
+    ):
+        down = coordinator.router.shard_for(_LOCATIONS[0])
+        if how == "killed":
+            coordinator.backends[down].kill()
+        else:
+            coordinator.replace_backend(down, FencedShardBackend(down))
+        calls = _count_shard_requests(coordinator)
+        merged = coordinator.multi_point_persistent(
+            _LOCATIONS, _PERIODS, policy=_POLICY
+        )
+        assert set(calls.values()) == {1}
+        dead = [
+            loc for loc in _LOCATIONS
+            if coordinator.router.shard_for(loc) == down
+        ]
+        assert set(merged.dead_locations) == set(dead)
+        assert {cell for cell in merged.uncovered if cell[0] in dead} == {
+            (loc, period) for loc in dead for period in _PERIODS
+        }
+        for loc in _LOCATIONS:
+            if loc not in dead:
+                assert merged.outcome_for(loc).result == _expected(
+                    single_server, loc, _PERIODS, _POLICY
+                )
+
+    def test_deadline_expired_before_the_fanout_uncovers_every_cell(
+        self, coordinator
+    ):
+        obs.enable()
+        calls = _count_shard_requests(coordinator)
+        merged = coordinator.multi_point_persistent(
+            _LOCATIONS, _PERIODS, policy=_POLICY,
+            deadline=Deadline.after(-1.0),
+        )
+        assert set(merged.dead_locations) == set(_LOCATIONS)
+        assert merged.covered_cells == 0
+        assert set(calls.values()) == {0}
+        groups = coordinator.router.group_locations(_LOCATIONS)
+        assert _deadline_counter("fanout").value == len(groups)
+        assert _deadline_counter("shard").value == 0
+
+    def test_deadline_expiring_mid_batch_answers_the_head(
+        self, coordinator, single_server
+    ):
+        obs.enable()
+        groups = coordinator.router.group_locations(_LOCATIONS)
+        group = max(groups.values(), key=len)
+        assert len(group) >= 3
+        answered = 2
+        # One look before the fan-out sends the request, then one per
+        # location the shard starts.
+        deadline = _CountdownDeadline(checks=1 + answered)
+        merged = coordinator.multi_point_persistent(
+            group, _PERIODS, policy=_POLICY, deadline=deadline
+        )
+        for loc in group[:answered]:
+            assert merged.outcome_for(loc).result == _expected(
+                single_server, loc, _PERIODS, _POLICY
+            )
+        assert merged.dead_locations == tuple(group[answered:])
+        assert set(merged.uncovered) >= {
+            (loc, period) for loc in group[answered:] for period in _PERIODS
+        }
+        assert _deadline_counter("shard").value == 1
+        assert _deadline_counter("fanout").value == 0
 
 
 class TestDeadShardMerging:
@@ -255,6 +447,45 @@ class TestIngestFaults:
         counts = coordinator.ingest_batch(frames)
         assert counts["delivered"] == len(safe)
         assert counts["quarantined"] == len(doomed) + 1
+
+
+    def test_batch_counts_every_routed_outcome(self):
+        obs.enable()
+        coordinator = ShardedCoordinator(
+            {
+                shard: LocalShardBackend(ShardEngine(shard_id=shard))
+                for shard in range(2)
+            }
+        )
+        try:
+            duplicate = frame_payload(_record(100, 0).to_payload())
+            assert coordinator.ingest_frame(duplicate)["outcome"] == (
+                "delivered"
+            )
+            corrupt = bytearray(frame_payload(_record(104, 0).to_payload()))
+            corrupt[-1] ^= 0xFF
+            fresh = [
+                frame_payload(_record(loc, 0).to_payload())
+                for loc in (101, 102, 103)
+            ]
+            outcomes = ("delivered", "duplicate", "quarantined")
+            routed = {
+                outcome: obs.counter(
+                    "repro_ingest_frames_total",
+                    "Upload frames routed by the sharded front door, by "
+                    "outcome.",
+                    outcome=outcome,
+                )
+                for outcome in outcomes
+            }
+            before = {o: routed[o].value for o in outcomes}
+            counts = coordinator.ingest_batch(
+                fresh + [duplicate, bytes(corrupt)]
+            )
+            assert counts == {"delivered": 3, "duplicate": 1, "quarantined": 1}
+            assert {o: routed[o].value - before[o] for o in outcomes} == counts
+        finally:
+            coordinator.close()
 
 
 class TestMergedStats:

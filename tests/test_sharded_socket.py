@@ -7,20 +7,26 @@ own tier so SIGKILLing a shard cannot poison the shared fixture.
 
 from __future__ import annotations
 
+import json
+import socket
+
 import numpy as np
 import pytest
 
-from repro.exceptions import TransportError
+from repro.exceptions import ReproError, TransportError
 from repro.faults.transport import UploadTransport, frame_payload
+from repro.obs import runtime as obs
 from repro.rsu.record import TrafficRecord
 from repro.server.central import CentralServer
-from repro.server.degradation import CoveragePolicy
+from repro.server.degradation import CoveragePolicy, DegradedResult
 from repro.server.queries import PointPersistentQuery
+from repro.server.sharded import wire
 from repro.server.sharded.client import (
     ShardClient,
     TcpUploadClient,
     parse_server_url,
 )
+from repro.server.sharded.coordinator import FencedShardBackend
 from repro.server.sharded.engine import policy_to_payload
 from repro.server.sharded.frontdoor import decode_sharded_result
 from repro.server.sharded.service import ShardedIngestService
@@ -52,7 +58,20 @@ _MALFORMED = {
         "kind": "point_persistent", "location": 1, "periods": [0, 1],
         "policy": {"min_coverage": "half"},
     },
+    "locations_not_a_list": {
+        "kind": "multi_point_persistent", "locations": 1, "periods": [0, 1],
+    },
+    "string_in_locations": {
+        "kind": "multi_point_persistent", "locations": [1, "2"],
+        "periods": [0, 1],
+    },
+    "batch_policy_not_a_number": {
+        "kind": "multi_point_persistent", "locations": [1], "periods": [0, 1],
+        "policy": {"min_coverage": "half"},
+    },
 }
+#: A location no record was ever uploaded for.
+_ABSENT = 99
 
 
 def _record(location, period):
@@ -89,6 +108,39 @@ class TestParseServerUrl:
     def test_rejects_bad_urls(self, bad):
         with pytest.raises(TransportError):
             parse_server_url(bad)
+
+
+def _single_answer(server, location, periods, policy):
+    """The single-process answer to one location, or its error message."""
+    query = PointPersistentQuery(location=location, periods=periods)
+    try:
+        return server.point_persistent(query, policy=policy)
+    except ReproError as exc:
+        return str(exc)
+
+
+def _raw_reply(port, payload, budget=None):
+    """The raw body of an endpoint's reply to one JSON query."""
+    msg_type = wire.MSG_QUERY
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    if budget is not None:
+        msg_type, body = wire.wrap_deadline(
+            msg_type, body, wire.Deadline.after(budget)
+        )
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        wire.send_message(sock, msg_type, body)
+        reply_type, reply = wire.recv_message(sock)
+    assert reply_type == wire.MSG_RESULT
+    return reply
+
+
+@pytest.fixture(scope="module")
+def single():
+    server = CentralServer(s=3, load_factor=2.0)
+    for loc in _LOCATIONS:
+        for per in _PERIODS:
+            server.receive_record(_record(loc, per))
+    return server
 
 
 @pytest.fixture(scope="module")
@@ -158,13 +210,10 @@ class TestTcpIngest:
 
 
 class TestRemoteQueryParity:
-    def test_remote_answer_matches_in_process_bit_for_bit(self, tier):
+    def test_remote_answer_matches_in_process_bit_for_bit(
+        self, tier, single
+    ):
         _service, client = tier
-        single = CentralServer(s=3, load_factor=2.0)
-        for loc in _LOCATIONS:
-            for per in _PERIODS:
-                single.receive_record(_record(loc, per))
-
         reply = client.query(
             {
                 "kind": "multi_point_persistent",
@@ -225,6 +274,229 @@ class TestRemoteQueryParity:
             assert shard.ping()
         finally:
             shard.close()
+
+
+class TestBatchedShardQueries:
+    @pytest.mark.parametrize(
+        "policy", [None, _POLICY], ids=["strict", "policy"]
+    )
+    @pytest.mark.parametrize("draw", range(4))
+    def test_outcomes_match_single_process(self, tier, single, policy, draw):
+        service, client = tier
+        rng = np.random.default_rng([_SEED, draw])
+        shuffled = [int(loc) for loc in rng.permutation(_LOCATIONS)]
+        if draw == 0:  # one location alone
+            locations = shuffled[:1]
+        elif draw == 1:  # a location asked twice
+            locations = shuffled[:2] + shuffled[:1]
+        else:  # with a location the tier holds nothing for
+            size = int(rng.integers(2, len(shuffled) + 1))
+            locations = shuffled[:size] + [_ABSENT]
+        periods = tuple(
+            sorted(int(p) for p in rng.choice(_PERIODS, 3, replace=False))
+        )
+        backends = service.coordinator.backends
+        calls = dict.fromkeys(backends, 0)
+        originals = {}
+        for shard, backend in backends.items():
+            originals[shard] = backend.point_persistent
+
+            def counted(*args, _shard=shard, **kwargs):
+                calls[_shard] += 1
+                return originals[_shard](*args, **kwargs)
+
+            backend.point_persistent = counted
+        try:
+            reply = client.query(
+                {
+                    "kind": "multi_point_persistent",
+                    "locations": locations,
+                    "periods": list(periods),
+                    "policy": policy_to_payload(policy),
+                }
+            )
+        finally:
+            for shard, backend in backends.items():
+                del backend.point_persistent
+        assert reply["ok"], reply
+        merged = decode_sharded_result(reply["result"])
+        assert [o.location for o in merged.outcomes] == locations
+        for outcome in merged.outcomes:
+            expected = _single_answer(
+                single, outcome.location, periods, policy
+            )
+            if isinstance(expected, str):
+                assert outcome.result is None
+                assert outcome.error == expected
+            elif isinstance(expected, DegradedResult):
+                assert outcome.result == expected
+            else:
+                assert outcome.result.value == expected
+                assert not outcome.result.coverage.missing
+        router = service.coordinator.router
+        owners = {router.shard_for(loc) for loc in locations}
+        assert {s for s, n in calls.items() if n} == owners
+        assert all(n <= 1 for n in calls.values())
+
+    def test_shard_refuses_one_location_and_answers_the_rest(
+        self, tier, single
+    ):
+        service, _client = tier
+        router = service.coordinator.router
+        owned = [loc for loc in _LOCATIONS if router.shard_for(loc) == 0]
+        locations = [owned[0], _ABSENT] + owned[1:]
+        reply = json.loads(
+            _raw_reply(
+                service.shard_port(0),
+                {
+                    "kind": "multi_point_persistent",
+                    "locations": locations,
+                    "periods": list(_PERIODS),
+                    "policy": policy_to_payload(_POLICY),
+                },
+            )
+        )
+        assert reply["ok"], reply
+        entries = reply["results"]
+        assert len(entries) == len(locations)
+        refused = entries.pop(1)
+        assert refused == {
+            "ok": False,
+            "error": _single_answer(single, _ABSENT, _PERIODS, _POLICY),
+            "error_kind": "coverage",
+        }
+        for loc, entry in zip(owned, entries):
+            assert entry["ok"], entry
+            assert wire.decode_outcome(entry) == _single_answer(
+                single, loc, _PERIODS, _POLICY
+            )
+
+    def test_expired_deadline_uncovers_every_cell(self, tier):
+        service, _client = tier
+        obs.enable()
+        reply = json.loads(
+            _raw_reply(
+                service.port,
+                {
+                    "kind": "multi_point_persistent",
+                    "locations": _LOCATIONS,
+                    "periods": list(_PERIODS),
+                    "policy": policy_to_payload(_POLICY),
+                },
+                budget=-1.0,
+            )
+        )
+        merged = decode_sharded_result(reply["result"])
+        assert set(merged.dead_locations) == set(_LOCATIONS)
+        assert merged.covered_cells == 0
+        fanout = obs.counter(
+            "repro_deadline_exceeded_total",
+            "Requests aborted because their deadline expired, by stage.",
+            stage="fanout",
+        )
+        assert fanout.value == service.n_shards
+
+
+class TestSingleLocationReplies:
+    """The front door's single-location replies, byte for byte.
+
+    Each expected reply is the body the front door sent before queries
+    were batched per shard: the same fields, the same messages.
+    """
+
+    @staticmethod
+    def _payload(location, policy=None, **fields):
+        payload = {
+            "kind": "point_persistent",
+            "location": location,
+            "periods": list(_PERIODS),
+            "policy": policy_to_payload(policy),
+        }
+        payload.update(fields)
+        return payload
+
+    @staticmethod
+    def _expected(reply):
+        return json.dumps(reply, sort_keys=True).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "policy", [None, _POLICY], ids=["strict", "policy"]
+    )
+    def test_answer(self, tier, single, policy):
+        service, _client = tier
+        answer = _single_answer(single, _LOCATIONS[0], _PERIODS, policy)
+        encode = wire.encode_estimate if policy is None else (
+            wire.encode_degraded
+        )
+        assert _raw_reply(
+            service.port, self._payload(_LOCATIONS[0], policy)
+        ) == self._expected({"ok": True, "result": encode(answer)})
+
+    @pytest.mark.parametrize(
+        "policy, kind",
+        [(None, "data"), (_POLICY, "coverage")],
+        ids=["data", "coverage"],
+    )
+    def test_refusal(self, tier, single, policy, kind):
+        service, _client = tier
+        assert _raw_reply(
+            service.port, self._payload(_ABSENT, policy)
+        ) == self._expected(
+            {
+                "ok": False,
+                "error": _single_answer(single, _ABSENT, _PERIODS, policy),
+                "error_kind": kind,
+            }
+        )
+
+    def test_shard_down(self, tier):
+        service, _client = tier
+        coordinator = service.coordinator
+        shard = coordinator.router.shard_for(_LOCATIONS[0])
+        live = coordinator.backends[shard]
+        coordinator.replace_backend(shard, FencedShardBackend(shard))
+        try:
+            reply = _raw_reply(service.port, self._payload(_LOCATIONS[0]))
+        finally:
+            coordinator.replace_backend(shard, live)
+        assert reply == self._expected(
+            {
+                "ok": False,
+                "error": (
+                    f"shard {shard} is fenced (restart budget exhausted)"
+                ),
+                "error_kind": "shard_down",
+            }
+        )
+
+    def test_deadline(self, tier):
+        service, _client = tier
+        shard = service.coordinator.router.shard_for(_LOCATIONS[0])
+        reply = _raw_reply(
+            service.port, self._payload(_LOCATIONS[0]), budget=-1.0
+        )
+        assert reply == self._expected(
+            {
+                "ok": False,
+                "error": (
+                    "deadline expired before the request to "
+                    f"127.0.0.1:{service.shard_port(shard)} was sent"
+                ),
+                "error_kind": "deadline",
+            }
+        )
+
+    def test_protocol(self, tier):
+        service, _client = tier
+        payload = self._payload(_LOCATIONS[0])
+        del payload["location"]
+        assert _raw_reply(service.port, payload) == self._expected(
+            {
+                "ok": False,
+                "error": "query lacks the 'location' field",
+                "error_kind": "protocol",
+            }
+        )
 
 
 class TestTransportWireBackend:
