@@ -15,11 +15,11 @@ The contract of ``repro.obs`` is two-sided:
   true slowdown, which its misnamed ``enabled_slowdown_percent``
   field reported as 66).
 
-Both throughputs, the correctly-named percentages (the seed's
+Both throughputs and the correctly-named percentages (the seed's
 ``enabled_slowdown_percent`` actually held the *speedup of disabling*
 — ``disabled/enabled − 1`` — which overstates the tax; slowdown is
-``1 − enabled/disabled``), and a per-subsystem profile breakdown of
-the enabled run are recorded to ``BENCH_obs.json`` at the repo root.
+``1 − enabled/disabled``) are recorded to ``BENCH_obs.json`` at the
+repo root.
 
 The two sides are measured as alternating same-side blocks reduced to
 their least-contended pass and compared by the median of per-round
@@ -46,7 +46,6 @@ import numpy as np
 from repro.experiments.common import bench_environment
 from repro.obs import runtime
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.rsu.record import TrafficRecord
 from repro.server.central import CentralServer
 from repro.server.queries import PointPersistentQuery
@@ -175,22 +174,6 @@ def _guard_cost_seconds(calls: int = 200_000) -> float:
     return (time.perf_counter() - started) / calls
 
 
-def _profile_breakdown(records) -> dict:
-    """Per-subsystem self-seconds of one enabled pass (cprofile)."""
-    with Profiler(engine="cprofile") as profiler:
-        _run_workload(records)
-    report = profiler.report
-    assert report is not None
-    total = sum(report.by_subsystem().values()) or 1.0
-    return {
-        name: {
-            "self_seconds": round(seconds, 6),
-            "percent": round(100.0 * seconds / total, 2),
-        }
-        for name, seconds in report.by_subsystem().items()
-    }
-
-
 def test_obs_overhead_within_budget():
     assert not runtime.enabled()
     records = _make_records(np.random.default_rng(42))
@@ -225,11 +208,6 @@ def test_obs_overhead_within_budget():
         if best_slowdown <= _MAX_ENABLED_SLOWDOWN:
             break
 
-    runtime.enable(registry=registry)
-    try:
-        breakdown = _profile_breakdown(records)
-    finally:
-        runtime.disable()
     assert registry.get("repro_records_ingested_total") is not None
 
     guard_seconds = _guard_cost_seconds()
@@ -263,7 +241,6 @@ def test_obs_overhead_within_budget():
         # Every measurement trial's slowdown (best one reported above);
         # spread across trials = runner contention during the run.
         "trial_slowdown_percents": trials,
-        "enabled_profile_by_subsystem": breakdown,
         "disabled_guard": {
             "cost_seconds_per_guard": guard_seconds,
             "assumed_guards_per_operation": _GUARDS_PER_OP,

@@ -18,16 +18,13 @@ Regenerate any paper artifact, or drive the system as a tool::
 Every simulate/attack/experiment subcommand accepts ``--metrics-out
 PATH`` (with ``--metrics-format {prom,json,text}``) to activate the
 observability layer for the run and export the collected metrics,
-``--events-out PATH`` to stream structured JSONL events,
-``--serve-metrics PORT`` to expose live ``/metrics``, ``/healthz``,
-``/traces`` and ``/profile`` endpoints while the run executes (0
-picks a free port), ``--trace-out PATH`` to dump recent distributed
-traces as JSONL, and ``--profile {cprofile,wall}`` to capture a
-hotspot profile of the run (``--profile-out PATH`` writes the JSON
-report; without it a text summary prints after the run).  Without
-those flags nothing is collected and output is unchanged.  See
-``docs/observability.md`` for the metric catalog and the endpoint
-contract.
+``--serve-metrics PORT`` to expose live ``/metrics``, ``/healthz``
+and ``/traces`` endpoints while the run executes (0 picks a free
+port), and ``--trace-out PATH`` to dump recent distributed traces as
+JSONL.  Without those flags nothing is collected and output is
+unchanged.  See ``docs/observability.md`` for the metric catalog and
+the endpoint contract; for function hotspots run the command under
+``python -m cProfile``.
 
 The experiment defaults favour quick regeneration; the paper's own
 setting is 1000 runs per cell (``--runs 1000``).  ``--workers N`` fans
@@ -70,12 +67,6 @@ def _add_metrics_options(parser: argparse.ArgumentParser) -> None:
         help="exporter for --metrics-out (default: prom)",
     )
     parser.add_argument(
-        "--events-out",
-        metavar="PATH",
-        default=None,
-        help="append structured JSONL events (spans, periods) to PATH",
-    )
-    parser.add_argument(
         "--serve-metrics",
         type=int,
         default=None,
@@ -91,23 +82,6 @@ def _add_metrics_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         default=None,
         help="write recent traces as JSONL to PATH when the run ends",
-    )
-    parser.add_argument(
-        "--profile",
-        choices=("cprofile", "wall"),
-        default=None,
-        metavar="ENGINE",
-        help=(
-            "profile the run with the given engine (cprofile = exact "
-            "tracing, wall = low-overhead stack sampling); prints a "
-            "hotspot summary unless --profile-out is given"
-        ),
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="PATH",
-        default=None,
-        help="write the --profile report as JSON to PATH",
     )
 
 
@@ -371,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         help=(
             "serve the cluster-merged live endpoints (/metrics, "
-            "/healthz, /traces, /profile, /shards) on this localhost "
-            "port (0 picks a free port, printed at startup)"
+            "/healthz, /traces, /shards) on this localhost port (0 "
+            "picks a free port, printed at startup)"
         ),
     )
 
@@ -827,34 +801,19 @@ def _write_traces(traces, path: str) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     metrics_out = getattr(args, "metrics_out", None)
-    events_out = getattr(args, "events_out", None)
     serve_port = getattr(args, "serve_metrics", None)
     trace_out = getattr(args, "trace_out", None)
-    profile_engine = getattr(args, "profile", None)
-    if (
-        not metrics_out
-        and not events_out
-        and serve_port is None
-        and not trace_out
-        and not profile_engine
-    ):
+    if not metrics_out and serve_port is None and not trace_out:
         return _dispatch_command(args)
 
     # Observability opted in: collect (and trace) for the duration of
     # the command, then export and (for simulate) print the run report.
-    # Sinks flush/close and exporters run in the finally block, so the
-    # files are complete even when the run raises mid-flight.
+    # Exporters run in the finally block, so the files are complete
+    # even when the run raises mid-flight.
     from repro import obs
 
-    try:
-        event_log = obs.StructuredLog(events_out) if events_out else None
-    except OSError as exc:
-        print(f"error: cannot open {events_out}: {exc}", file=sys.stderr)
-        return 1
     traces = obs.TraceBuffer()
-    registry = obs.enable(
-        registry=obs.MetricsRegistry(), event_log=event_log, trace=traces
-    )
+    registry = obs.enable(registry=obs.MetricsRegistry(), trace=traces)
     http_server = None
     # `serve` wires its own cluster-aware MetricsServer inside
     # _run_serve (it needs the running service to merge shard
@@ -870,24 +829,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             f"[metrics server listening on http://127.0.0.1:{bound}]",
             flush=True,
         )
-    profiler = None
-    if profile_engine:
-        profiler = obs.Profiler(engine=profile_engine)
-        profiler.start()
     code: Optional[int] = None
     export_failed = False
-    profile_report = None
     try:
         code = _dispatch_command(args)
     finally:
-        if profiler is not None:
-            # Stop first so teardown (server shutdown, exporters) never
-            # pollutes the hotspot ranking; counts while obs is still
-            # enabled so repro_profile_runs_total lands in the export.
-            profile_report = profiler.stop()
         if http_server is not None:
             http_server.stop()
-        obs.disable()  # closes the event log: --events-out is complete
+        obs.disable()
         if code == 0 and args.command == "simulate":
             print()
             print(obs.format_report(registry))
@@ -914,26 +863,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 export_failed = True
-        if events_out and event_log is not None:
-            print(
-                f"[{event_log.events_written} events written to {events_out}]"
-            )
-        if profile_report is not None:
-            profile_out = getattr(args, "profile_out", None)
-            if profile_out:
-                try:
-                    with open(profile_out, "w", encoding="utf-8") as handle:
-                        handle.write(profile_report.to_json() + "\n")
-                    print(f"[profile written to {profile_out}]")
-                except OSError as exc:
-                    print(
-                        f"error: cannot write {profile_out}: {exc}",
-                        file=sys.stderr,
-                    )
-                    export_failed = True
-            else:
-                print()
-                print(profile_report.format_text(10))
     if export_failed and code == 0:
         return 1
     return code

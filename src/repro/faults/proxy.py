@@ -39,6 +39,24 @@ from repro.faults.plan import FaultInjector
 _CHUNK_BYTES = 16 * 1024
 
 
+def _sever(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.
+
+    On Linux ``close()`` does not wake a thread blocked in ``recv()``
+    or ``accept()`` on the same socket, and the peer sees no EOF until
+    that call returns; ``shutdown()`` wakes it and sends the FIN at
+    once.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down or closed
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class ChaosProxy:
     """A TCP forwarder that injects wire faults on the request path.
 
@@ -105,10 +123,7 @@ class ChaosProxy:
     def stop(self) -> None:
         """Stop accepting and sever every live connection."""
         self._stopped.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _sever(self._listener)
         self._sever_all()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
@@ -142,11 +157,8 @@ class ChaosProxy:
         with self._conn_lock:
             pairs, self._open_pairs = self._open_pairs, []
         for downstream, upstream in pairs:
-            for sock in (downstream, upstream):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            _sever(downstream)
+            _sever(upstream)
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -226,11 +238,8 @@ class ChaosProxy:
                 except OSError:
                     break
         finally:
-            for sock in (source, sink):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            _sever(source)
+            _sever(sink)
             with self._conn_lock:
                 self._open_pairs = [
                     pair

@@ -6,22 +6,19 @@ measurer.  It provides:
 * :mod:`repro.obs.metrics` — a dependency-free, thread-safe metrics
   registry (counters, gauges, log-bucketed histograms);
 * :mod:`repro.obs.spans` — scoped timers feeding a duration histogram
-  and, optionally, a structured JSONL event log;
-* :mod:`repro.obs.events` — the :class:`StructuredLog` JSONL sink;
+  and, while tracing, the trace buffer;
 * :mod:`repro.obs.export` — Prometheus text exposition, JSON
   snapshots, and a one-screen human report;
 * :mod:`repro.obs.trace` — distributed tracing: trace/span ids,
   contextvar propagation, the :class:`TraceBuffer` ring, and
   :func:`format_trace_tree` critical-path rendering;
 * :mod:`repro.obs.httpd` — a stdlib background HTTP server exposing
-  ``/metrics``, ``/healthz``, ``/traces``, ``/profile``, and
-  ``/shards`` while a run executes;
+  ``/metrics``, ``/healthz``, ``/traces`` and ``/shards`` while a run
+  executes;
 * :mod:`repro.obs.cluster` — the distributed telemetry plane: the
   worker-side :class:`TelemetryBuffer` export queue and the
   front-door :class:`ClusterTelemetry` collector that merges shard
   spans, bindings, and metrics into one coherent domain;
-* :mod:`repro.obs.profile` — cProfile/wall-sampling hotspot capture
-  with per-subsystem aggregation (drives ``--profile``);
 * :mod:`repro.obs.runtime` — the process-global enable/disable switch
   and the :class:`~repro.obs.runtime.BoundMetric` hot-path handles.
 
@@ -49,7 +46,6 @@ from repro.obs.cluster import (
     TelemetryBuffer,
     register_cluster_metrics,
 )
-from repro.obs.events import StructuredLog, memory_log
 from repro.obs.export import (
     format_report,
     parse_prometheus,
@@ -71,14 +67,7 @@ from repro.obs.metrics import (
     NullRegistry,
     log_buckets,
 )
-from repro.obs.profile import (
-    Hotspot,
-    ProfileReport,
-    Profiler,
-    last_report,
-)
 from repro.obs.runtime import (
-    PROFILE_RUNS_COUNTER,
     BoundMetric,
     bind_counter,
     bind_gauge,
@@ -87,7 +76,6 @@ from repro.obs.runtime import (
     disable,
     enable,
     enabled,
-    event_log,
     gauge,
     histogram,
     registry,
@@ -109,21 +97,16 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",
-    "Hotspot",
     "MetricFamily",
     "MetricsRegistry",
     "MetricsServer",
     "NULL_REGISTRY",
     "NullRegistry",
     "POW2_BUCKETS",
-    "PROFILE_RUNS_COUNTER",
-    "ProfileReport",
-    "Profiler",
     "SIZE_BUCKETS",
     "SPAN_HISTOGRAM",
     "Span",
     "SpanRecord",
-    "StructuredLog",
     "TelemetryBuffer",
     "TraceBuffer",
     "TraceContext",
@@ -136,14 +119,11 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "event_log",
     "format_report",
     "format_trace_tree",
     "gauge",
     "histogram",
-    "last_report",
     "log_buckets",
-    "memory_log",
     "parse_prometheus",
     "register_cluster_metrics",
     "registry",

@@ -11,10 +11,6 @@ the *live* registry instead:
 * ``GET /traces`` — recent traces from the installed
   :class:`~repro.obs.trace.TraceBuffer` as JSON, newest first
   (``?limit=N`` caps the count);
-* ``GET /profile`` — the most recent profiling report from
-  :mod:`repro.obs.profile` as JSON (``?format=text`` for the human
-  rendering, ``?top=N`` to widen the hotspot list); 404 until a
-  profile has run;
 * ``GET /shards`` — per-shard liveness/health of an attached sharded
   tier (404 unless the server was built with ``cluster=...``).
 
@@ -48,7 +44,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs import export, profile, runtime
+from repro.obs import export, runtime
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceBuffer
 
@@ -56,7 +52,7 @@ from repro.obs.trace import TraceBuffer
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: The endpoints this server knows about (pre-registered scrape labels).
-ENDPOINTS = ("/metrics", "/healthz", "/traces", "/profile", "/shards")
+ENDPOINTS = ("/metrics", "/healthz", "/traces", "/shards")
 
 
 class MetricsServer:
@@ -125,7 +121,8 @@ class MetricsServer:
 
         Idempotent: calling start on a running server returns the
         existing port.  Pre-registers the per-endpoint scrape counter
-        so all three series export at zero before the first request.
+        so every endpoint's series exports at zero before the first
+        request.
         """
         if self._httpd is not None:
             return self._port
@@ -198,35 +195,6 @@ class MetricsServer:
                         "application/json",
                         json.dumps(payload).encode("utf-8"),
                     )
-                elif path == "/profile":
-                    server._count_scrape("/profile")
-                    report = profile.last_report()
-                    if report is None:
-                        self._send(
-                            404,
-                            "text/plain; charset=utf-8",
-                            b"no profile captured yet; run with --profile\n",
-                        )
-                        return
-                    query = parse_qs(parsed.query)
-                    top = 20
-                    if "top" in query:
-                        try:
-                            top = max(1, int(query["top"][0]))
-                        except ValueError:
-                            top = 20
-                    if query.get("format", [""])[0] == "text":
-                        self._send(
-                            200,
-                            "text/plain; charset=utf-8",
-                            report.format_text(top).encode("utf-8"),
-                        )
-                    else:
-                        self._send(
-                            200,
-                            "application/json",
-                            report.to_json(top).encode("utf-8"),
-                        )
                 elif path == "/shards":
                     server._count_scrape("/shards")
                     cluster = server._cluster
@@ -252,7 +220,7 @@ class MetricsServer:
                         404,
                         "text/plain; charset=utf-8",
                         b"not found; try /metrics, /healthz, /traces, "
-                        b"/profile, /shards\n",
+                        b"/shards\n",
                     )
 
         self._httpd = ThreadingHTTPServer((self._host, self._port), _Handler)

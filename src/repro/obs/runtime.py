@@ -46,7 +46,6 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.obs.events import StructuredLog
 from repro.obs.metrics import (
     NULL_METRIC,
     NULL_REGISTRY,
@@ -58,11 +57,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import TraceBuffer
 
-#: Counts completed profiling sessions (see :mod:`repro.obs.profile`).
-PROFILE_RUNS_COUNTER = "repro_profile_runs_total"
-
 _active: Optional[MetricsRegistry] = None
-_event_log: Optional[StructuredLog] = None
 _trace_buffer: Optional[TraceBuffer] = None
 
 #: Mode flags mirroring the private state above, refreshed by
@@ -73,9 +68,6 @@ _trace_buffer: Optional[TraceBuffer] = None
 #: API for everything else.
 ACTIVE: bool = False
 TRACING: bool = False
-#: Tracing *or* an event log: spans must be real objects, not fused
-#: fast paths, because something downstream consumes them.
-DETAILED: bool = False
 #: ``repro_traces_total`` on the active registry while tracing, the
 #: null metric otherwise: root spans count themselves through this
 #: resolved child instead of a by-name lookup per trace.
@@ -83,10 +75,9 @@ TRACES = NULL_METRIC
 
 
 def _refresh_flags() -> None:
-    global ACTIVE, TRACING, DETAILED, TRACES
+    global ACTIVE, TRACING, TRACES
     ACTIVE = _active is not None
     TRACING = ACTIVE and _trace_buffer is not None
-    DETAILED = TRACING or _event_log is not None
     TRACES = (
         _active.counter(
             "repro_traces_total",
@@ -126,11 +117,6 @@ def registry() -> Union[MetricsRegistry, NullRegistry]:
     return _active if _active is not None else NULL_REGISTRY
 
 
-def event_log() -> Optional[StructuredLog]:
-    """The active structured-event sink, or None."""
-    return _event_log
-
-
 def trace_buffer() -> Optional[TraceBuffer]:
     """The active trace ring buffer, or None when tracing is off."""
     return _trace_buffer
@@ -138,54 +124,42 @@ def trace_buffer() -> Optional[TraceBuffer]:
 
 def enable(
     registry: Optional[MetricsRegistry] = None,
-    event_log: Optional[StructuredLog] = None,
     trace: Optional[TraceBuffer] = None,
 ) -> MetricsRegistry:
     """Activate metrics collection (idempotent; returns the registry).
 
     Passing a registry replaces any active one; passing none keeps an
-    already-active registry or creates a fresh one.  The event log, if
-    given, receives span and simulation events until :func:`disable`.
-    Passing a :class:`TraceBuffer` additionally turns on distributed
-    tracing: spans get trace/span ids, propagate parent context, and
-    record into the buffer (served by ``/traces`` and
-    :func:`~repro.obs.trace.format_trace_tree`).
+    already-active registry or creates a fresh one.  Passing a
+    :class:`TraceBuffer` additionally turns on distributed tracing:
+    spans get trace/span ids, propagate parent context, and record
+    into the buffer (served by ``/traces`` and
+    :func:`~repro.obs.trace.format_trace_tree`).  While tracing,
+    ``repro_traces_total`` exports at zero from the start.
     """
-    global _active, _event_log, _trace_buffer
+    global _active, _trace_buffer
     if registry is not None:
         _active = registry
     elif _active is None:
         _active = MetricsRegistry()
-    if event_log is not None:
-        _event_log = event_log
     if trace is not None:
         _trace_buffer = trace
-    # Telemetry-about-telemetry series export at zero from the start
-    # (``repro_traces_total`` too, while tracing: see _refresh_flags).
-    _active.counter(
-        PROFILE_RUNS_COUNTER,
-        help="Profiling sessions completed (cprofile or wall engine).",
-    )
     _refresh_flags()
     _rebind_handles()
     return _active
 
 
 def disable() -> Optional[MetricsRegistry]:
-    """Deactivate collection; closes the event log if one was attached.
+    """Deactivate collection.
 
     Returns the registry that was active (still readable/exportable —
     deactivation stops *collection*, not access).  A trace buffer, like
     the registry, stays readable after deactivation but receives no
     further spans.
     """
-    global _active, _event_log, _trace_buffer
+    global _active, _trace_buffer
     previous = _active
     _active = None
     _trace_buffer = None
-    if _event_log is not None:
-        _event_log.close()
-        _event_log = None
     _refresh_flags()
     _rebind_handles()
     return previous

@@ -2,23 +2,23 @@
 
 A span times a block of work and, when observability is active,
 records the duration into the ``repro_span_duration_seconds``
-histogram (labelled by span name) and emits a structured event to the
-active JSONL sink, including the parent span for nested work::
+histogram (labelled by span name)::
 
     from repro.obs.spans import span
 
     with span("sketch.and_join", bits=m):
         ... do the join ...
 
-Spans nest naturally — a ``sim.period`` span around a measurement
-period will show up as the parent of every ``sketch.and_join`` span
-opened inside it.  Nesting is tracked per thread.
+Nesting is tracked per thread (:func:`current_span`).
 
 When a :class:`~repro.obs.trace.TraceBuffer` is installed
 (``obs.enable(trace=...)``), spans additionally carry distributed
 trace context: a root span starts a new trace, children inherit the
 trace id via a contextvar, and every closed span is recorded into the
-buffer.  A span may also *link* to spans in other traces (a query
+buffer — the one sink for closed spans, served by ``/traces`` and
+written by ``--trace-out``.  A ``sim.period`` span around a
+measurement period shows up there as the parent of every span opened
+inside it.  A span may also *link* to spans in other traces (a query
 touching a record delivered by an earlier upload trace) via
 :meth:`Span.add_link` / :func:`add_link`.
 
@@ -81,8 +81,8 @@ class Span:
     """One timed scope.  Use via :func:`span`, not directly.
 
     While only metrics are collected a span costs two clock reads, two
-    stack operations and one histogram observe; trace context, the
-    trace buffer and the event log are touched only while attached.
+    stack operations and one histogram observe; trace context and the
+    trace buffer are touched only while tracing.
     """
 
     __slots__ = (
@@ -94,8 +94,6 @@ class Span:
         "links",
         "start_ts",
         "_started",
-        "_parent_name",
-        "_depth",
         "_ctx_token",
     )
 
@@ -110,19 +108,7 @@ class Span:
         #: Cross-trace links added via :meth:`add_link`.
         self.links: List[TraceContext] = []
         self.start_ts = 0.0
-        self._parent_name: Optional[str] = None
-        self._depth = 0
         self._ctx_token = None
-
-    @property
-    def parent_name(self) -> Optional[str]:
-        """Name of the enclosing span at entry, or None at top level."""
-        return self._parent_name
-
-    @property
-    def depth(self) -> int:
-        """Nesting depth at entry (0 = top level)."""
-        return self._depth
 
     def add_link(self, context: Optional[TraceContext]) -> bool:
         """Link this span to a span in another trace.
@@ -139,11 +125,7 @@ class Span:
         return True
 
     def __enter__(self) -> "Span":
-        stack = _stack()
-        if stack:
-            self._parent_name = stack[-1].name
-        self._depth = len(stack)
-        stack.append(self)
+        _stack().append(self)
         if runtime.TRACING:
             self.parent_context = trace_mod.current()
             if self.parent_context is None:
@@ -167,12 +149,12 @@ class Span:
             self._ctx_token = None
         if runtime.ACTIVE:
             _duration_handle(self.name).observe(self.duration)
-            if runtime.DETAILED:
+            if runtime.TRACING:
                 self._export(exc_type)
         return False
 
     def _export(self, exc_type) -> None:
-        """Hand the closed span to the trace buffer and/or event log."""
+        """Hand the closed span to the trace buffer."""
         buffer = runtime.trace_buffer()
         if buffer is not None and self.context is not None:
             # ``attrs`` is handed over, not copied: it is the
@@ -195,22 +177,6 @@ class Span:
                     links=tuple(self.links),
                 )
             )
-        log = runtime.event_log()
-        if log is not None:
-            extra = {}
-            if self.context is not None:
-                extra["trace_id"] = self.context.trace_id
-                extra["span_id"] = self.context.span_id
-            log.emit(
-                "span",
-                self.name,
-                duration_seconds=self.duration,
-                parent=self._parent_name,
-                depth=self._depth,
-                error=exc_type.__name__ if exc_type is not None else None,
-                **extra,
-                **self.attrs,
-            )
 
 
 class _NullSpan:
@@ -221,8 +187,6 @@ class _NullSpan:
     name = ""
     attrs: Dict[str, object] = {}
     duration = None
-    parent_name = None
-    depth = 0
     context = None
     parent_context = None
     links: List[TraceContext] = []
@@ -257,7 +221,7 @@ def add_link(context: Optional[TraceContext]) -> bool:
 def span(name: str, **attrs: object):
     """A context manager timing ``name`` (no-op while disabled).
 
-    Extra keyword attributes ride along on the emitted JSONL event
+    Extra keyword attributes ride along on the span's trace record
     (they do *not* become histogram labels — durations aggregate per
     span name only, keeping cardinality bounded).
     """
@@ -269,13 +233,13 @@ def span(name: str, **attrs: object):
 def trace_span(name: str, **attrs: object):
     """A span only when it will be externally visible.
 
-    Hands out a :class:`Span` while a trace buffer or event log is
-    attached, and the shared no-op otherwise.  For call sites whose
-    duration histogram is fed by fused accounting the site already
-    performs (e.g. ``CentralServer._observe_query``) — a metrics-only
-    span there would duplicate both the clock reads and the histogram
+    Hands out a :class:`Span` while tracing, and the shared no-op
+    otherwise.  For call sites whose duration histogram is fed by
+    fused accounting the site already performs (e.g.
+    ``CentralServer._observe_query``) — a metrics-only span there
+    would duplicate both the clock reads and the histogram
     observation.
     """
-    if runtime.DETAILED:
+    if runtime.TRACING:
         return Span(name, attrs)
     return _NULL_SPAN

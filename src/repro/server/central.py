@@ -388,13 +388,13 @@ class CentralServer:
         side, so ``repro_queries_total`` always equals the latency
         histogram's ``_count``.  The ``server.query`` span duration is
         fused in here too — unless a real
-        :class:`~repro.obs.spans.Span` is open (tracing or event log
-        active), which records the duration itself on exit.
+        :class:`~repro.obs.spans.Span` is open (tracing active), which
+        records the duration itself on exit.
         """
         elapsed = time.perf_counter() - started
         _QUERY_LATENCY[kind].observe(elapsed)
         _QUERY_TOTAL[kind].inc()
-        if not obs.DETAILED:
+        if not obs.TRACING:
             _QUERY_SPAN_DURATION.observe(elapsed)
 
     @staticmethod

@@ -25,11 +25,6 @@ from repro.obs.spans import span
 from repro.server.central import CentralServer
 from repro.server.queries import PointToPointPersistentQuery
 
-#: Emit a planner progress event every this many evaluated pairs (a
-#: month-scale flow matrix over hundreds of locations runs for a
-#: while; operators watching the event log should see it moving).
-_PROGRESS_EVERY = 64
-
 
 def _pair_counters():
     """``(evaluated, skipped)`` pair counters, resolved once per study.
@@ -116,9 +111,9 @@ def persistent_flow_matrix(
     Returns ``{(a, b): volume}`` for every unordered pair (keyed with
     ``a < b``; the estimator is symmetric in its two locations).
     Degenerate pairs are omitted from the result but counted in
-    ``repro_flow_pairs_skipped_total``, and a ``progress`` event lands
-    in the event log every :data:`_PROGRESS_EVERY` pairs (and at the
-    end) so long studies over many locations stay observable.
+    ``repro_flow_pairs_skipped_total``.  Every evaluated pair bumps
+    ``repro_flow_pairs_total`` as it completes, so a long study over
+    many locations shows its progress on a live ``/metrics`` scrape.
 
     With the server's query-plan cache enabled each location's
     AND-join is computed once and shared across its ``L-1`` pairs —
@@ -129,8 +124,6 @@ def persistent_flow_matrix(
         raise ConfigurationError("a flow matrix needs at least two locations")
     pairs, skips = _pair_counters()
     total = len(distinct) * (len(distinct) - 1) // 2
-    done = 0
-    skipped = 0
     matrix: Dict[Tuple[int, int], float] = {}
     with span("planner.flow_matrix", locations=len(distinct), pairs=total):
         for index, location_a in enumerate(distinct):
@@ -143,22 +136,8 @@ def persistent_flow_matrix(
                 try:
                     estimate = server.point_to_point_persistent(query)
                 except EstimationError:
-                    skipped += 1
                     skips.inc()
                 else:
                     matrix[(location_a, location_b)] = estimate.clamped
                 pairs.inc()
-                done += 1
-                if obs.ACTIVE and (
-                    done % _PROGRESS_EVERY == 0 or done == total
-                ):
-                    log = obs.event_log()
-                    if log is not None:
-                        log.emit(
-                            "progress",
-                            "planner.flow_matrix",
-                            done=done,
-                            total=total,
-                            skipped=skipped,
-                        )
     return matrix

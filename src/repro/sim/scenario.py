@@ -278,23 +278,16 @@ class CityScenario:
         """Simulate one full measurement period."""
         with span("sim.period", period=self._periods_run) as period_span:
             summary = self._run_period()
-        log = obs.event_log()
-        if log is not None:
-            extra = {}
-            if period_span.context is not None:
-                extra["trace_id"] = period_span.context.trace_id
-            log.emit(
-                "period",
-                "sim.period",
-                period=summary.period,
-                encounters=summary.encounters,
-                missed=summary.missed,
-                rejected=summary.rejected,
-                lost=summary.lost,
-                outaged=summary.outaged,
-                reports_by_location=summary.reports_by_location,
-                **extra,
-            )
+            if obs.TRACING:
+                # The period's counts ride on its span into /traces
+                # and --trace-out.
+                period_span.attrs.update(
+                    encounters=summary.encounters,
+                    missed=summary.missed,
+                    rejected=summary.rejected,
+                    lost=summary.lost,
+                    outaged=summary.outaged,
+                )
         return summary
 
     def _run_period(self) -> PeriodSummary:

@@ -10,6 +10,9 @@ connections without crashing or wedging.
 
 from __future__ import annotations
 
+import socket
+import time
+
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -18,6 +21,7 @@ from repro.faults.proxy import ChaosProxy
 from repro.faults.transport import frame_payload
 from repro.obs import runtime as obs
 from repro.rsu.record import TrafficRecord
+from repro.server.sharded import wire
 from repro.server.sharded.client import ShardClient
 from repro.server.sharded.coordinator import (
     LocalShardBackend,
@@ -99,6 +103,30 @@ class TestPartition:
                 assert client.upload(_frame(2, 0))["outcome"] == "delivered"
             finally:
                 client.close()
+
+    def test_partition_severs_an_idle_connection_at_once(self, door):
+        with _proxy(door) as proxy:
+            # The timeout bounds the failing case: no EOF, no hang.
+            sock = socket.create_connection(
+                ("127.0.0.1", proxy.port), timeout=2.0
+            )
+            try:
+                # One round trip, so the proxy has paired this
+                # connection with the upstream before the partition.
+                wire.send_message(sock, wire.MSG_PING)
+                reply = wire.recv_message(sock)
+                assert reply is not None and reply[0] == wire.MSG_PONG
+                proxy.partition()
+                started = time.monotonic()
+                try:
+                    data = sock.recv(1)
+                except socket.timeout:
+                    pytest.fail("partition() left an idle connection open")
+                elapsed = time.monotonic() - started
+            finally:
+                sock.close()
+        assert data == b""
+        assert elapsed < 1.0, elapsed
 
     def test_reconnect_after_broken_socket_is_opt_out(self, door):
         with _proxy(door) as proxy:

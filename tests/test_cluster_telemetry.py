@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -543,14 +544,23 @@ class TestMergedEndpoints:
             client.upload(
                 frame_payload(_record(91, 1).to_payload(), context=context)
             )
+        # A scrape pulls shard telemetry at most once per staleness
+        # bound (1 s), and the previous test's scrape may have pulled
+        # moments ago: scrape until a pull lands, within a few bounds.
+        names = set()
+        deadline = time.monotonic() + 5.0
         with MetricsServer(cluster=collector) as http:
-            status, payload = _get(http.port, "/traces")
-        assert status == 200
-        names = {
-            entry["name"]
-            for trace in payload["traces"]
-            for entry in trace["spans"]
-        }
+            while True:
+                status, payload = _get(http.port, "/traces")
+                assert status == 200
+                names = {
+                    entry["name"]
+                    for trace in payload["traces"]
+                    for entry in trace["spans"]
+                }
+                if "shard.ingest" in names or time.monotonic() > deadline:
+                    break
+                time.sleep(0.1)
         assert "shard.ingest" in names  # refreshed on scrape
 
 

@@ -129,50 +129,6 @@ class TestEndpoints:
 class TestEndpointErrorPaths:
     """Hostile query strings and concurrent writers must not 500."""
 
-    @pytest.fixture
-    def profiled(self, monkeypatch):
-        from repro.obs import profile as profile_mod
-        from repro.obs.profile import Profiler
-
-        monkeypatch.setattr(profile_mod, "_last_report", None)
-        with Profiler(engine="cprofile"):
-            sum(range(1000))
-        assert profile_mod.last_report() is not None
-
-    def test_profile_bad_top_falls_back(self, server, profiled):
-        status, headers, body = _get(server.port, "/profile?top=bogus")
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        assert json.loads(body)["engine"] == "cprofile"
-
-    def test_profile_negative_top_clamped(self, server, profiled):
-        status, _, body = _get(server.port, "/profile?top=-3")
-        assert status == 200
-        assert json.loads(body)["engine"] == "cprofile"
-
-    def test_profile_unknown_format_serves_json(self, server, profiled):
-        status, headers, body = _get(
-            server.port, "/profile?format=yaml"
-        )
-        assert status == 200
-        assert headers["Content-Type"] == "application/json"
-        json.loads(body)
-
-    def test_profile_text_format(self, server, profiled):
-        status, headers, body = _get(
-            server.port, "/profile?format=text&top=5"
-        )
-        assert status == 200
-        assert "text/plain" in headers["Content-Type"]
-
-    def test_profile_404_before_any_run(self, server, monkeypatch):
-        from repro.obs import profile as profile_mod
-
-        monkeypatch.setattr(profile_mod, "_last_report", None)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server.port, "/profile")
-        assert excinfo.value.code == 404
-
     def test_shards_404_without_cluster(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.port, "/shards")
@@ -258,6 +214,5 @@ class TestRuntimeFallback:
             "/metrics",
             "/healthz",
             "/traces",
-            "/profile",
             "/shards",
         )

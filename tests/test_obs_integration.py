@@ -88,12 +88,10 @@ class TestServerCounters:
         scenario.run(1)
         # A registry enabled *afterwards* carries no trace of the run:
         # enable() eagerly rebinds every live handle, so the full
-        # catalog (plus the pre-registered telemetry-about-telemetry
-        # series) exports — but strictly at zero.
+        # catalog exports — but strictly at zero.
         reg = runtime.enable(registry=MetricsRegistry())
         try:
             snapshot = reg.snapshot()
-            assert "repro_profile_runs_total" in snapshot
             for name, family in snapshot.items():
                 for child in family["children"]:
                     if "value" in child:
@@ -169,16 +167,23 @@ class TestCliMetrics:
         )
         assert out.read_text().startswith("run report")
 
-    def test_events_out_streams_period_events(self, capsys, tmp_path):
-        events = tmp_path / "events.jsonl"
-        assert main(self.SIMULATE + ["--events-out", str(events)]) == 0
-        lines = [json.loads(l) for l in events.read_text().splitlines()]
-        periods = [e for e in lines if e["type"] == "period"]
-        spans = [e for e in lines if e["type"] == "span"]
+    def test_trace_out_carries_period_counts(self, capsys, tmp_path):
+        out = tmp_path / "traces.jsonl"
+        assert main(self.SIMULATE + ["--trace-out", str(out)]) == 0
+        traces = [json.loads(l) for l in out.read_text().splitlines()]
+        periods = [
+            span
+            for trace in traces
+            for span in trace["spans"]
+            if span["name"] == "sim.period"
+        ]
         assert len(periods) == 3
-        assert periods[0]["encounters"] > 0
-        assert any(s["name"] == "sim.period" for s in spans)
-        assert "events written to" in capsys.readouterr().out
+        assert sorted(int(s["attrs"]["period"]) for s in periods) == [0, 1, 2]
+        for period in periods:
+            assert int(period["attrs"]["encounters"]) > 0
+            for count in ("missed", "rejected", "lost", "outaged"):
+                assert int(period["attrs"][count]) >= 0
+        assert "traces written to" in capsys.readouterr().out
 
     def test_attack_accepts_metrics_flags(self, capsys, tmp_path):
         out = tmp_path / "attack.prom"

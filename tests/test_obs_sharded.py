@@ -159,9 +159,14 @@ class TestScrapeWhileWriting:
             "repro_stress_seconds", buckets=(1.0, 2.0)
         )
         done = threading.Event()
+        first_scrape = threading.Event()
 
         def work(index):
             for iteration in range(ITERATIONS):
+                if iteration == ITERATIONS // 2:
+                    # Hold half way until one scrape has run beside the
+                    # writers, so fast writers cannot finish first.
+                    first_scrape.wait(timeout=10)
                 counter.inc()
                 histogram.observe(float(iteration % 3))
 
@@ -184,6 +189,7 @@ class TestScrapeWhileWriting:
             assert total >= previous_count
             previous_count = total
             observed.append(total)
+            first_scrape.set()
         for thread in writers:
             thread.join()
         assert len(observed) >= 2

@@ -1,15 +1,13 @@
-"""Tests for the span/timer API and the structured event log."""
+"""Tests for the span/timer API and the runtime switch."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.obs import runtime
-from repro.obs.events import StructuredLog, memory_log
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SPAN_HISTOGRAM, current_span, span
+from repro.obs.trace import TraceBuffer
 
 
 @pytest.fixture
@@ -45,24 +43,11 @@ class TestSpanEnabled:
     def test_nesting_tracks_parent_and_depth(self, registry):
         with span("outer") as outer:
             assert current_span() is outer
-            assert outer.parent_name is None
-            assert outer.depth == 0
             with span("inner") as inner:
                 assert current_span() is inner
-                assert inner.parent_name == "outer"
-                assert inner.depth == 1
             assert current_span() is outer
         assert current_span() is None
         assert outer.duration >= inner.duration
-
-    def test_sibling_spans_share_parent(self, registry):
-        with span("parent"):
-            with span("first") as first:
-                pass
-            with span("second") as second:
-                pass
-        assert first.parent_name == "parent"
-        assert second.parent_name == "parent"
 
     def test_exception_propagates_and_still_records(self, registry):
         with pytest.raises(ValueError):
@@ -72,74 +57,40 @@ class TestSpanEnabled:
         assert child.count == 1
 
 
-class TestSpanEvents:
-    def test_events_carry_duration_parent_and_attrs(self):
-        log, buffer = memory_log()
-        runtime.enable(registry=MetricsRegistry(), event_log=log)
+class TestSpanRecords:
+    def test_records_carry_parent_attrs_and_duration(self):
+        buffer = TraceBuffer()
+        runtime.enable(registry=MetricsRegistry(), trace=buffer)
         try:
-            with span("outer", bits=64):
+            with span("outer", bits=64) as outer_span:
                 with span("inner"):
                     pass
         finally:
             runtime.disable()
-        events = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert [e["name"] for e in events] == ["inner", "outer"]
-        inner, outer = events
-        assert inner["type"] == "span"
-        assert inner["parent"] == "outer"
-        assert inner["depth"] == 1
-        assert outer["parent"] is None
-        assert outer["bits"] == 64
-        assert outer["duration_seconds"] >= inner["duration_seconds"]
-        assert outer["error"] is None
-        assert "ts" in outer
+        [trace_id] = buffer.trace_ids()
+        records = buffer.spans(trace_id)
+        assert [r.name for r in records] == ["inner", "outer"]
+        inner, outer = records
+        assert outer.span_id == outer_span.context.span_id
+        assert inner.parent_id == outer.span_id
+        assert outer.parent_id is None
+        assert outer.attrs == {"bits": 64}
+        assert outer.duration >= inner.duration
+        assert outer.error is None
+        assert outer.start > 0.0
 
-    def test_failed_span_event_names_the_exception(self):
-        log, buffer = memory_log()
-        runtime.enable(registry=MetricsRegistry(), event_log=log)
+    def test_failed_span_records_the_exception(self):
+        buffer = TraceBuffer()
+        runtime.enable(registry=MetricsRegistry(), trace=buffer)
         try:
             with pytest.raises(RuntimeError):
                 with span("failing"):
                     raise RuntimeError("x")
         finally:
             runtime.disable()
-        (event,) = [json.loads(line) for line in buffer.getvalue().splitlines()]
-        assert event["error"] == "RuntimeError"
-
-
-class TestStructuredLog:
-    def test_writes_jsonl_to_a_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = StructuredLog(str(path))
-        log.emit("span", "x", value=1)
-        log.emit("period", "sim.period", period=0)
-        log.close()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert log.events_written == 2
-        first = json.loads(lines[0])
-        assert first["type"] == "span"
-        assert first["value"] == 1
-
-    def test_appends_across_instances(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        with StructuredLog(path) as log:
-            log.emit("a", "one")
-        with StructuredLog(path) as log:
-            log.emit("a", "two")
-        assert len(open(path).read().splitlines()) == 2
-
-    def test_emit_after_close_is_dropped(self, tmp_path):
-        log = StructuredLog(str(tmp_path / "e.jsonl"))
-        log.close()
-        log.emit("a", "late")  # must not raise
-        assert log.events_written == 0
-
-    def test_non_json_values_are_stringified(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        with StructuredLog(str(path)) as log:
-            log.emit("a", "odd", value={1, 2})  # sets are not JSON
-        assert json.loads(path.read_text())["name"] == "odd"
+        [trace_id] = buffer.trace_ids()
+        (record,) = buffer.spans(trace_id)
+        assert record.error == "RuntimeError"
 
 
 class TestRuntimeSwitch:
@@ -158,15 +109,6 @@ class TestRuntimeSwitch:
             assert runtime.enable() is reg
         finally:
             runtime.disable()
-
-    def test_disable_closes_event_log(self, tmp_path):
-        log = StructuredLog(str(tmp_path / "e.jsonl"))
-        runtime.enable(event_log=log)
-        assert runtime.event_log() is log
-        runtime.disable()
-        assert runtime.event_log() is None
-        log.emit("a", "dropped")
-        assert log.events_written == 0
 
     def test_accessors_are_noops_when_disabled(self):
         runtime.counter("repro_ghost_total").inc()

@@ -184,22 +184,6 @@ class TestSpanIntegration:
         [record] = buffer.spans(trace_id)
         assert record.links == (other,)
 
-    def test_span_event_carries_trace_ids(self):
-        import json
-
-        log, stream = obs.memory_log()
-        obs.enable(
-            registry=obs.MetricsRegistry(), event_log=log, trace=TraceBuffer()
-        )
-        with obs.span("evented"):
-            pass
-        events = [
-            json.loads(line) for line in stream.getvalue().splitlines()
-        ]
-        [event] = [e for e in events if e["type"] == "span"]
-        assert len(event["trace_id"]) == 16
-        assert len(event["span_id"]) == 8
-
     def test_threads_do_not_share_context(self):
         obs.enable(registry=obs.MetricsRegistry(), trace=TraceBuffer())
         seen = {}

@@ -171,27 +171,3 @@ class TestObservability:
             )
         finally:
             runtime.disable()
-
-    def test_progress_events_emitted(self, loaded_server):
-        import json
-
-        from repro.obs import runtime
-        from repro.obs.events import memory_log
-        from repro.obs.metrics import MetricsRegistry
-
-        log, buffer = memory_log()
-        runtime.enable(registry=MetricsRegistry(), event_log=log)
-        try:
-            persistent_flow_matrix(loaded_server, SOURCES + (TARGET,), PERIODS)
-        finally:
-            runtime.disable()
-        events = [
-            json.loads(line)
-            for line in buffer.getvalue().splitlines()
-            if '"progress"' in line
-        ]
-        assert events, "flow matrix must emit progress events"
-        final = events[-1]
-        assert final["name"] == "planner.flow_matrix"
-        assert final["done"] == final["total"] == 6
-        assert final["skipped"] == 0
