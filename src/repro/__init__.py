@@ -54,9 +54,9 @@ from repro.exceptions import (
     SketchError,
     TransportError,
 )
-# Fault-plan types come from their submodules directly (not the
-# repro.faults package root) so `import repro` stays light — the
-# chaos harness pulls in the whole simulation stack.
+# The repro.faults package root re-exports neither the chaos harness
+# nor the drill (they pull in the simulation and experiment stack), so
+# importing these submodules keeps `import repro` light.
 from repro.faults.plan import FaultInjector, FaultPlan, OutageWindow
 from repro.faults.transport import UploadTransport
 from repro.rsu.record import TrafficRecord

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from scipy.optimize import brentq
-
 from repro.core.point import RecordLike, _as_bitmaps
 from repro.exceptions import ConfigurationError, EstimationError, SketchError
 from repro.sketch.bitmap import Bitmap
@@ -113,6 +111,9 @@ def multi_split_estimate_from_statistics(
     if at_lower == 0.0:
         x = lower
     else:
+        # Here, not at module level: only k >= 3 needs SciPy.
+        from scipy.optimize import brentq
+
         x = brentq(objective, lower, 1.0, xtol=1e-15)
     if x <= 0.0:
         raise EstimationError("numeric inversion produced a non-positive root")

@@ -25,25 +25,18 @@ those failure processes first-class and reproducible:
   asserting zero acknowledged-record loss and coverage-honest
   degraded answers.
 
+The package root re-exports only the plan, transport and proxy names.
+Import the chaos harness and the drill from their own submodules: they
+pull in the simulation and experiment stack, and importing any
+``repro.faults`` submodule runs this ``__init__`` first, so a
+re-export here would load that stack into every shard worker.
+
 Every injected fault increments ``repro_faults_injected_total`` (by
 ``kind``) on the active :mod:`repro.obs` registry, so chaos runs export
 their fault mix alongside the ordinary runtime metrics.  See
 ``docs/robustness.md`` for the fault model and degradation policy.
 """
 
-from repro.faults.chaos import (
-    ChaosCellResult,
-    ChaosConfig,
-    ChaosResult,
-    format_chaos,
-    run_chaos,
-)
-from repro.faults.drill import (
-    DistributedChaosConfig,
-    DistributedChaosResult,
-    format_distributed_chaos,
-    run_distributed_chaos,
-)
 from repro.faults.plan import FaultInjector, FaultKind, FaultPlan, OutageWindow
 from repro.faults.proxy import ChaosProxy
 from repro.faults.transport import (
@@ -55,14 +48,9 @@ from repro.faults.transport import (
 )
 
 __all__ = [
-    "ChaosCellResult",
-    "ChaosConfig",
     "ChaosProxy",
-    "ChaosResult",
     "DeadLetter",
     "DeadLetterLog",
-    "DistributedChaosConfig",
-    "DistributedChaosResult",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
@@ -70,8 +58,4 @@ __all__ = [
     "UploadOutcome",
     "UploadReceipt",
     "UploadTransport",
-    "format_chaos",
-    "format_distributed_chaos",
-    "run_chaos",
-    "run_distributed_chaos",
 ]

@@ -185,6 +185,9 @@ class ChaosProxy:
                 except OSError:
                     pass
                 continue
+            # The timeout bounds only the dial: left on, the upstream
+            # pump's recv would sever a pair after 10 s of silence.
+            upstream.settimeout(None)
             with self._conn_lock:
                 self._open_pairs.append((downstream, upstream))
             threading.Thread(

@@ -383,15 +383,16 @@ class ClusterTelemetry:
         """Per-shard health for the ``/shards`` endpoint.
 
         Combines live service state (process liveness, hold/fence
-        flags, restart counts, breaker state) with the cached engine
-        stats (records, WAL depth, dead letters) and the age of the
-        last absorbed telemetry.
+        flags, restart counts, last spawn-to-port time, breaker state)
+        with the cached engine stats (records, WAL depth, dead letters,
+        recovery time) and the age of the last absorbed telemetry.
         """
         service = self._service
         backends = self._backends()
         now = time.time()
         out: Dict[str, dict] = {}
         fenced = getattr(service, "fenced", {})
+        start_seconds = getattr(service, "start_seconds", {})
         for shard in range(service.n_shards):
             entry: Dict[str, object] = {
                 "alive": bool(service.shard_alive(shard)),
@@ -399,6 +400,7 @@ class ClusterTelemetry:
                 "fenced": bool(service.is_fenced(shard)),
                 "fence_reason": fenced.get(shard),
                 "restarts": int(service.restart_count(shard)),
+                "start_seconds": start_seconds.get(shard),
             }
             backend = backends.get(shard)
             breaker = getattr(backend, "breaker", None)
@@ -408,7 +410,9 @@ class ClusterTelemetry:
             with self._lock:
                 stats = dict(self._shard_stats.get(shard, {}))
                 seen = self._last_seen.get(shard)
-            for key in ("records", "wal_entries", "dead_letters"):
+            for key in (
+                "records", "wal_entries", "dead_letters", "recover_seconds"
+            ):
                 entry[key] = stats.get(key)
             entry["last_telemetry_age_seconds"] = (
                 round(now - seen, 3) if seen is not None else None

@@ -142,6 +142,9 @@ class ShardEngine:
         )
         self.wal = wal
         self.dead_letters = DeadLetterLog(dead_letter_path)
+        #: Seconds the worker spent in WAL replay and archive load
+        #: before serving (None for an engine no worker recovered).
+        self.recover_seconds: Optional[float] = None
         self._uploads = obs.LazyCounter(
             "repro_shard_uploads_total",
             "Upload frames handled at a shard edge, by outcome.",
@@ -433,6 +436,7 @@ class ShardEngine:
             "wal_entries": (
                 self.wal.entries_written if self.wal is not None else 0
             ),
+            "recover_seconds": self.recover_seconds,
             "metrics": {},
         }
         # Drain *before* snapshotting: the drain bumps the shipped/

@@ -128,6 +128,10 @@ class ShardedIngestService:
         #: Shard -> fencing reason for shards past their restart budget.
         self._fenced: Dict[int, str] = {}
         self._restart_counts: Dict[int, int] = {}
+        #: Shard -> monotonic time of its last spawn, and the seconds
+        #: that spawn took to publish a port.
+        self._spawned_at: Dict[int, float] = {}
+        self._start_seconds: Dict[int, float] = {}
         self.coordinator: Optional[ShardedCoordinator] = None
         self.front_door: Optional[FrontDoor] = None
         self.supervisor: Optional[ShardSupervisor] = None
@@ -196,6 +200,11 @@ class ShardedIngestService:
         """How many times this shard has been respawned since start."""
         return self._restart_counts.get(shard, 0)
 
+    @property
+    def start_seconds(self) -> Dict[int, float]:
+        """Shard -> seconds from its last spawn until it published a port."""
+        return dict(self._start_seconds)
+
     def _spawn(self, shard: int) -> None:
         config = self._configs[shard]
         Path(config.data_dir).mkdir(parents=True, exist_ok=True)
@@ -209,6 +218,7 @@ class ShardedIngestService:
             target=run_shard, args=(config,), name=f"shard-{shard}"
         )
         process.daemon = True
+        self._spawned_at[shard] = time.monotonic()
         process.start()
         self._processes[shard] = process
 
@@ -220,6 +230,9 @@ class ShardedIngestService:
             if config.port_file.exists():
                 text = config.port_file.read_text().strip()
                 if text:
+                    self._start_seconds[shard] = (
+                        time.monotonic() - self._spawned_at[shard]
+                    )
                     return int(text)
             if not process.is_alive():
                 raise TransportError(

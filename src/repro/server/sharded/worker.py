@@ -29,6 +29,7 @@ import os
 import signal
 import socketserver
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -257,7 +258,9 @@ def run_shard(config: ShardConfig) -> None:
     except ValueError:  # pragma: no cover - non-main-thread (tests)
         pass
 
+    started = time.perf_counter()
     engine = recover_engine(config)
+    engine.recover_seconds = time.perf_counter() - started
     # The replayed archive is permanent state: collect once, then
     # freeze it out of the collector's scan set so steady-state ingest
     # (which allocates records, spans and acks at wire rate) does not

@@ -77,6 +77,22 @@ class TestTransparentForwarding:
             finally:
                 client.close()
 
+    def test_forwarded_pairs_carry_no_socket_timeout(self, door):
+        with _proxy(door) as proxy:
+            client = ShardClient("127.0.0.1", proxy.port)
+            try:
+                assert client.ping()
+                with proxy._conn_lock:
+                    pairs = list(proxy._open_pairs)
+                assert pairs
+                # A timeout left on either socket severs the pair once
+                # the connection idles that long.
+                for downstream, upstream in pairs:
+                    assert upstream.gettimeout() is None
+                    assert downstream.gettimeout() is None
+            finally:
+                client.close()
+
     def test_url_is_dialable(self, door):
         with _proxy(door) as proxy:
             assert proxy.url == f"tcp://127.0.0.1:{proxy.port}"

@@ -594,3 +594,36 @@ class TestShardsEndpointWithoutCluster:
                     f"http://127.0.0.1:{http.port}/shards", timeout=5
                 )
             assert caught.value.code == 404
+
+
+class TestShardsStartAndRecovery:
+    def test_restart_reports_start_and_recovery_seconds(self, tmp_path):
+        service = ShardedIngestService(1, tmp_path, shard_metrics=True)
+        service.start()
+        try:
+            client = ShardClient("127.0.0.1", service.port)
+            try:
+                counts = client.upload_batch(
+                    [
+                        frame_payload(_record(loc, per).to_payload())
+                        for loc in _LOCATIONS
+                        for per in _PERIODS
+                    ]
+                )
+            finally:
+                client.close()
+            assert counts["delivered"] == len(_LOCATIONS) * len(_PERIODS)
+            service.kill_shard(0)
+            service.restart_shard(0)
+            collector = service.cluster_telemetry(
+                buffer=TraceBuffer(), registry=MetricsRegistry()
+            )
+            collector.refresh(force=True)
+            entry = collector.shards_payload()["0"]
+        finally:
+            service.stop()
+        # The restarted worker replayed the WAL before binding, and its
+        # spawn-to-port time includes that recovery.
+        assert entry["records"] == len(_LOCATIONS) * len(_PERIODS)
+        assert entry["recover_seconds"] > 0
+        assert entry["start_seconds"] >= entry["recover_seconds"]

@@ -1,0 +1,228 @@
+"""What a tier process loads, and ``python -m repro serve`` run as users run it.
+
+Each tier process should import only what it serves: bitmap joins and
+the closed forms of Eq. 12 and Eq. 21.  SciPy (only the k >= 3
+multi-split root finder needs it), the CLI, the experiment stack and
+the chaos harness stay off a shard worker's import path; the front
+door still imports the CLI, but never SciPy or the chaos harness.
+
+The import guard runs fresh interpreters, because this test process
+has long since imported everything.  The ``spawn`` start method runs
+the launching ``__main__`` module as ``__mp_main__`` in every shard
+worker before it imports the worker module, so the worker case does
+the same.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.faults.transport import frame_payload
+from repro.rsu.record import TrafficRecord
+from repro.server.central import CentralServer
+from repro.server.degradation import CoveragePolicy
+from repro.server.queries import PointPersistentQuery
+from repro.server.sharded.client import ShardClient
+from repro.server.sharded.engine import policy_to_payload
+from repro.server.sharded.frontdoor import decode_sharded_result
+from repro.sketch.bitmap import Bitmap
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Packages no shard worker may load.
+_WORKER_FORBIDDEN = (
+    "scipy",
+    "repro.cli",
+    "repro.experiments",
+    "repro.analysis",
+    "repro.privacy",
+    "repro.traffic",
+    "repro.faults.chaos",
+    "repro.faults.drill",
+)
+#: Packages the front door may not load (it does load the CLI).
+_FRONT_DOOR_FORBIDDEN = ("scipy", "repro.faults.chaos", "repro.faults.drill")
+
+_WORKER_SPAWN_PATH = """
+import runpy
+runpy.run_module("repro.__main__", run_name="__mp_main__")
+import repro.server.sharded.worker
+"""
+_FRONT_DOOR = """
+import repro.cli, repro.server.sharded.service
+"""
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
+
+
+def _loaded_modules(code):
+    """Every module name a fresh interpreter holds after running ``code``."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def _within(modules, packages):
+    return sorted(
+        name
+        for name in modules
+        for package in packages
+        if name == package or name.startswith(package + ".")
+    )
+
+
+class TestImportGuard:
+    def test_worker_spawn_path_stays_lean(self):
+        modules = _loaded_modules(_WORKER_SPAWN_PATH)
+        assert "repro.server.sharded.worker" in modules
+        assert _within(modules, _WORKER_FORBIDDEN) == []
+
+    def test_front_door_loads_no_scipy_or_chaos(self):
+        modules = _loaded_modules(_FRONT_DOOR)
+        assert "repro.server.sharded.service" in modules
+        assert _within(modules, _FRONT_DOOR_FORBIDDEN) == []
+
+
+# ----------------------------------------------------------------------
+# python -m repro serve, as a user launches it
+# ----------------------------------------------------------------------
+
+_SEED = 2017
+_LOCATIONS = list(range(1, 9))
+_PERIODS = tuple(range(4))
+_BITS = 128
+_POLICY = CoveragePolicy(min_coverage=0.5, min_periods=2)
+_PORT_LINE = re.compile(r"tcp://[0-9.]+:(\d+)")
+#: A mapped file inside SciPy's own package directory (numpy's wheel
+#: ships ``numpy.libs/libscipy_openblas64_*.so``, which must not match).
+_SCIPY_DIR = re.compile(r"/(?:site|dist)-packages/scipy/")
+
+
+def _record(location, period):
+    rng = np.random.default_rng([_SEED, location, period])
+    return TrafficRecord(
+        location=location,
+        period=period,
+        bitmap=Bitmap(_BITS, rng.random(_BITS) < 0.5),
+    )
+
+
+def _await_port(proc, log, timeout=120.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        match = _PORT_LINE.search(log.read_text(errors="replace"))
+        if match:
+            return int(match.group(1))
+        assert proc.poll() is None, log.read_text(errors="replace")
+        time.sleep(0.02)
+    pytest.fail("serve did not announce its port")
+
+
+def _tier_pids(session):
+    """Live pids in ``session``, without multiprocessing's resource tracker."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+            cmdline = Path(f"/proc/{entry}/cmdline").read_bytes()
+        except OSError:
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[3]) == session:
+            if b"resource_tracker" not in cmdline:
+                pids.append(int(entry))
+    return sorted(pids)
+
+
+class TestServeProcess:
+    def test_serve_answers_exactly_and_exits_cleanly(self, tmp_path):
+        log = tmp_path / "serve.log"
+        with open(log, "wb") as out:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "serve",
+                    "--shards", "2", "--port", "0",
+                    "--data-dir", str(tmp_path / "data"),
+                ],
+                env=_env(),
+                stdout=out,
+                stderr=subprocess.STDOUT,
+                stdin=subprocess.DEVNULL,
+                start_new_session=True,
+            )
+        try:
+            port = _await_port(proc, log)
+            client = ShardClient("127.0.0.1", port, timeout=30.0)
+            try:
+                records = [
+                    _record(loc, per) for loc in _LOCATIONS for per in _PERIODS
+                ]
+                counts = client.upload_batch(
+                    [frame_payload(r.to_payload()) for r in records]
+                )
+                assert counts["delivered"] == len(records)
+                reply = client.query(
+                    {
+                        "kind": "multi_point_persistent",
+                        "locations": _LOCATIONS,
+                        "periods": list(_PERIODS),
+                        "policy": policy_to_payload(_POLICY),
+                    }
+                )
+                if sys.platform.startswith("linux"):
+                    pids = _tier_pids(proc.pid)
+                    assert len(pids) == 3, pids  # serve and two workers
+                    for pid in pids:
+                        maps = Path(f"/proc/{pid}/maps").read_text()
+                        assert not _SCIPY_DIR.search(maps), pid
+                client.shutdown()
+            finally:
+                client.close()
+            assert proc.wait(timeout=60) == 0, log.read_text(errors="replace")
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+
+        assert reply["ok"], reply
+        single = CentralServer(s=3, load_factor=2.0)
+        for record in records:
+            single.receive_record(record)
+        merged = decode_sharded_result(reply["result"])
+        assert not merged.degraded
+        assert [o.location for o in merged.outcomes] == _LOCATIONS
+        for outcome in merged.outcomes:
+            expected = single.point_persistent(
+                PointPersistentQuery(
+                    location=outcome.location, periods=_PERIODS
+                ),
+                policy=_POLICY,
+            )
+            assert outcome.result.value == expected.value
+            assert outcome.result.coverage == expected.coverage
