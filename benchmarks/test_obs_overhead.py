@@ -277,8 +277,9 @@ _DIST_BATCH = 32
 
 #: One frame in N carries an RFR2 trace context.  Tracing is opt-in
 #: per frame at the client (the RSU samples which uploads to trace,
-#: as distributed tracers do); metrics and telemetry shipping still
-#: run on every frame, so the gate covers the always-on machinery at
+#: as distributed tracers do); on the ``shard_telemetry=True`` tier,
+#: metrics and telemetry shipping still run on every frame, so the
+#: gate covers the machinery ``serve --serve-metrics`` switches on at
 #: a realistic traced fraction (6.25%, within the 1-10% range
 #: production tracers sample at) rather than a 100%-sampled worst
 #: case.

@@ -176,7 +176,7 @@ def main() -> int:
     obs.enable(registry=obs.MetricsRegistry(), trace=obs.TraceBuffer())
     http_server = None
     with tempfile.TemporaryDirectory(prefix="ingest-smoke-") as tmp:
-        with ShardedIngestService(2, tmp) as service:
+        with ShardedIngestService(2, tmp, shard_telemetry=True) as service:
             cluster = service.cluster_telemetry()
             http_server = obs.MetricsServer(port=0, cluster=cluster)
             http_port = http_server.start()

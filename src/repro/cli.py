@@ -594,6 +594,9 @@ def _run_serve(args) -> int:
     data_dir = args.data_dir
     if data_dir is None:
         data_dir = tempfile.mkdtemp(prefix="repro-shards-")
+    # Workers trace only when a telemetry collector will absorb their
+    # spans, and --serve-metrics is the one path that builds it.
+    serve_metrics = getattr(args, "serve_metrics", None) is not None
     service = ShardedIngestService(
         n_shards=args.shards,
         data_dir=data_dir,
@@ -601,6 +604,7 @@ def _run_serve(args) -> int:
         port=args.port,
         s=args.s,
         load_factor=args.load_factor,
+        shard_telemetry=serve_metrics,
         timeout=args.timeout,
         max_inflight=args.max_inflight,
         supervise=args.supervise,
@@ -614,7 +618,7 @@ def _run_serve(args) -> int:
         flush=True,
     )
     metrics_server = None
-    if getattr(args, "serve_metrics", None) is not None:
+    if serve_metrics:
         from repro import obs
 
         # The obs session in _dispatch already enabled the registry

@@ -64,7 +64,11 @@ class ShardedIngestService:
     shard_telemetry:
         Give each worker a telemetry-exporting trace buffer so its
         spans ship to the front door (see
-        :class:`~repro.obs.cluster.ClusterTelemetry`).
+        :class:`~repro.obs.cluster.ClusterTelemetry`).  Off by
+        default: only a collector built by :meth:`cluster_telemetry`
+        absorbs shipped spans, and without one each query would still
+        pay for a span per location in every shard.  ``python -m repro
+        serve`` turns it on exactly when ``--serve-metrics`` is given.
     timeout:
         Socket timeout (seconds) of every front-door-to-shard
         connection.
@@ -87,7 +91,7 @@ class ShardedIngestService:
         s: int = 3,
         load_factor: float = 2.0,
         shard_metrics: bool = True,
-        shard_telemetry: bool = True,
+        shard_telemetry: bool = False,
         timeout: float = 10.0,
         max_inflight: Optional[int] = 64,
         supervise: bool = False,
@@ -350,7 +354,9 @@ class ShardedIngestService:
         this service and attached to the coordinator, so telemetry
         piggy-backed on ``stats()`` pulls is absorbed into the
         front-door trace buffer.  Idempotent: repeated calls return
-        the same collector.
+        the same collector.  Shard spans reach it only when the
+        service was built with ``shard_telemetry=True``; otherwise the
+        collector still merges shard metrics and health.
         """
         from repro.obs.cluster import ClusterTelemetry
 

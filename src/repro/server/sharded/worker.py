@@ -76,7 +76,8 @@ class ShardConfig:
         in this process ship to the front door (piggy-backed on stats
         replies and via ``MSG_TELEMETRY`` drains).  Implies an enabled
         registry even when ``metrics`` is False, because tracing needs
-        an active runtime.
+        an active runtime.  Off by default, so a tier whose front door
+        collects no telemetry records no spans.
     """
 
     shard_id: int
@@ -86,7 +87,7 @@ class ShardConfig:
     s: int = 3
     load_factor: float = 2.0
     metrics: bool = True
-    telemetry: bool = True
+    telemetry: bool = False
 
     @property
     def wal_path(self) -> Path:

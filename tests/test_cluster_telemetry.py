@@ -345,7 +345,10 @@ class TestClusterTelemetryUnit:
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
     service = ShardedIngestService(
-        2, tmp_path_factory.mktemp("cluster-tier"), shard_metrics=True
+        2,
+        tmp_path_factory.mktemp("cluster-tier"),
+        shard_metrics=True,
+        shard_telemetry=True,
     )
     service.start()
     client = ShardClient("127.0.0.1", service.port)

@@ -5,6 +5,8 @@ the closed forms of Eq. 12 and Eq. 21.  SciPy (only the k >= 3
 multi-split root finder needs it), the CLI, the experiment stack and
 the chaos harness stay off a shard worker's import path; the front
 door still imports the CLI, but never SciPy or the chaos harness.
+Likewise a worker records spans only when the front door collects
+them: plain ``serve`` keeps none, ``serve --serve-metrics`` ships them.
 
 The import guard runs fresh interpreters, because this test process
 has long since imported everything.  The ``spawn`` start method runs
@@ -15,6 +17,7 @@ the same.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -22,6 +25,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +121,7 @@ _PERIODS = tuple(range(4))
 _BITS = 128
 _POLICY = CoveragePolicy(min_coverage=0.5, min_periods=2)
 _PORT_LINE = re.compile(r"tcp://[0-9.]+:(\d+)")
+_METRICS_LINE = re.compile(r"listening on http://127\.0\.0\.1:(\d+)")
 #: A mapped file inside SciPy's own package directory (numpy's wheel
 #: ships ``numpy.libs/libscipy_openblas64_*.so``, which must not match).
 _SCIPY_DIR = re.compile(r"/(?:site|dist)-packages/scipy/")
@@ -131,15 +136,52 @@ def _record(location, period):
     )
 
 
-def _await_port(proc, log, timeout=120.0):
+def _await_port(proc, log, line=_PORT_LINE, timeout=120.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        match = _PORT_LINE.search(log.read_text(errors="replace"))
+        match = line.search(log.read_text(errors="replace"))
         if match:
             return int(match.group(1))
         assert proc.poll() is None, log.read_text(errors="replace")
         time.sleep(0.02)
     pytest.fail("serve did not announce its port")
+
+
+@contextlib.contextmanager
+def _serve(tmp_path, *flags):
+    """``python -m repro serve --shards 2`` in its own session.
+
+    Yields the process and its log; the whole session is killed on the
+    way out if the test did not stop the tier itself.
+    """
+    log = tmp_path / "serve.log"
+    with open(log, "wb") as out:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--shards", "2", "--port", "0",
+                "--data-dir", str(tmp_path / "data"),
+                *flags,
+            ],
+            env=_env(),
+            stdout=out,
+            stderr=subprocess.STDOUT,
+            stdin=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+    try:
+        yield proc, log
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def _get_json(port, path):
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}{path}", timeout=10
+    ) as response:
+        return json.loads(response.read())
 
 
 def _tier_pids(session):
@@ -162,21 +204,7 @@ def _tier_pids(session):
 
 class TestServeProcess:
     def test_serve_answers_exactly_and_exits_cleanly(self, tmp_path):
-        log = tmp_path / "serve.log"
-        with open(log, "wb") as out:
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "serve",
-                    "--shards", "2", "--port", "0",
-                    "--data-dir", str(tmp_path / "data"),
-                ],
-                env=_env(),
-                stdout=out,
-                stderr=subprocess.STDOUT,
-                stdin=subprocess.DEVNULL,
-                start_new_session=True,
-            )
-        try:
+        with _serve(tmp_path) as (proc, log):
             port = _await_port(proc, log)
             client = ShardClient("127.0.0.1", port, timeout=30.0)
             try:
@@ -201,15 +229,19 @@ class TestServeProcess:
                     for pid in pids:
                         maps = Path(f"/proc/{pid}/maps").read_text()
                         assert not _SCIPY_DIR.search(maps), pid
+                stats = client.stats()
                 client.shutdown()
             finally:
                 client.close()
             assert proc.wait(timeout=60) == 0, log.read_text(errors="replace")
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
 
+        # Nothing collects worker spans without --serve-metrics, so no
+        # shard may have buffered any for the next stats() to carry.
+        assert sorted(stats["shards"]) == ["0", "1"]
+        assert [
+            shard for shard, entry in stats["shards"].items()
+            if "telemetry" in entry
+        ] == []
         assert reply["ok"], reply
         single = CentralServer(s=3, load_factor=2.0)
         for record in records:
@@ -226,3 +258,48 @@ class TestServeProcess:
             )
             assert outcome.result.value == expected.value
             assert outcome.result.coverage == expected.coverage
+
+    def test_serve_metrics_ships_worker_spans(self, tmp_path):
+        with _serve(tmp_path, "--serve-metrics", "0") as (proc, log):
+            port = _await_port(proc, log)
+            http_port = _await_port(proc, log, line=_METRICS_LINE)
+            client = ShardClient("127.0.0.1", port, timeout=30.0)
+            try:
+                periods = list(_PERIODS[:2])
+                counts = client.upload_batch(
+                    [
+                        frame_payload(_record(loc, per).to_payload())
+                        for loc in _LOCATIONS
+                        for per in periods
+                    ]
+                )
+                assert counts["delivered"] == len(_LOCATIONS) * len(periods)
+                reply = client.query(
+                    {
+                        "kind": "multi_point_persistent",
+                        "locations": _LOCATIONS,
+                        "periods": periods,
+                        "policy": policy_to_payload(_POLICY),
+                    }
+                )
+                assert reply["ok"], reply
+                # /traces pulls shard telemetry once the collector's
+                # snapshot is older than its staleness bound (1 s).
+                names = set()
+                deadline = time.monotonic() + 5.0
+                while "shard.query" not in names:
+                    assert time.monotonic() < deadline, sorted(names)
+                    time.sleep(0.1)
+                    traces = _get_json(http_port, "/traces")["traces"]
+                    names = {
+                        span["name"]
+                        for trace in traces
+                        for span in trace["spans"]
+                    }
+                shards = _get_json(http_port, "/shards")["shards"]
+                assert sorted(shards) == ["0", "1"]
+                assert all(entry["alive"] for entry in shards.values())
+                client.shutdown()
+            finally:
+                client.close()
+            assert proc.wait(timeout=60) == 0, log.read_text(errors="replace")
