@@ -40,14 +40,12 @@ import time
 from typing import List, Optional
 
 from repro.experiments.common import DEFAULT_RUNS, ExperimentConfig
-from repro.experiments.fig4 import format_fig4, run_fig4
-from repro.experiments.fig5 import format_fig5, run_fig5
-from repro.experiments.fig6 import format_fig6, run_fig6
-from repro.experiments.registry import EXPERIMENTS
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table2 import format_table2, run_table2
 
-_EXPERIMENT_NAMES = sorted(EXPERIMENTS) + ["all"]
+#: The paper-artifact subcommands: the names of
+#: ``repro.experiments.EXPERIMENTS``, spelled out so that ``serve`` and
+#: every other command load no experiment module they do not run.
+_EXPERIMENTS = ("fig4", "fig5", "fig6", "table1", "table2")
+_EXPERIMENT_NAMES = list(_EXPERIMENTS) + ["all"]
 
 #: Exporter formats accepted by --metrics-format.
 _METRICS_FORMATS = ("prom", "json", "text")
@@ -354,25 +352,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_experiment_command(name: str, args: argparse.Namespace) -> int:
-    names = sorted(EXPERIMENTS) if name == "all" else [name]
+    names = _EXPERIMENTS if name == "all" else [name]
     for experiment in names:
         started = time.time()
         config = ExperimentConfig(
             runs=args.runs, seed=args.seed, workers=args.workers
         )
         if experiment == "table1":
+            from repro.experiments.table1 import format_table1, run_table1
+
             output = format_table1(
                 run_table1(config, from_trip_table=args.from_trip_table)
             )
         elif experiment == "table2":
+            from repro.experiments.table2 import format_table2, run_table2
+
             output = format_table2(run_table2(config, empirical=args.empirical))
         elif experiment == "fig4":
+            from repro.experiments.fig4 import format_fig4, run_fig4
+
             output = format_fig4(run_fig4(config, fraction_step=args.step))
         elif experiment == "fig5":
+            from repro.experiments.fig5 import format_fig5, run_fig5
+
             output = format_fig5(
                 run_fig5(config, points_per_target=args.points_per_target)
             )
         elif experiment == "fig6":
+            from repro.experiments.fig6 import format_fig6, run_fig6
+
             output = format_fig6(
                 run_fig6(config, points_per_target=args.points_per_target)
             )

@@ -126,8 +126,9 @@ class PointPersistentEstimator:
     ) -> PointEstimate:
         """Evaluate Eq. 12 on a precomputed split-and-join.
 
-        The query-plan cache and the interval-join index hand over
-        memoized :class:`~repro.sketch.join.SplitJoinResult` objects;
+        The interval-join index hands over memoized
+        :class:`~repro.sketch.join.SplitJoinResult` objects, and the
+        query-plan cache memoizes the estimate made here on a miss;
         this produces the identical :class:`PointEstimate` that
         :meth:`estimate` would compute from the raw records (the split
         carries the same bitmaps, so the same IEEE doubles fall out).

@@ -12,6 +12,15 @@ Every experiment returns plain dataclasses, so notebooks and tests can
 consume the numbers directly.
 """
 
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-
 __all__ = ["EXPERIMENTS", "run_experiment"]
+
+
+def __getattr__(name):
+    # The registry imports every figure and table module, and through
+    # them the traffic, analysis and privacy packages; loading it only
+    # when asked keeps ``repro.experiments.common`` light to import.
+    if name in __all__:
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,4 @@
-"""The query-plan cache: joins computed once, reused across queries.
+"""The query-plan cache: joins and estimates computed once, reused.
 
 Every persistent-traffic query (Eq. 12 / Eq. 21) is dominated by its
 per-location AND-joins, and a production server answers many queries
@@ -6,8 +6,8 @@ over overlapping period sets: a flow matrix over ``L`` locations asks
 ``L·(L-1)/2`` point-to-point questions that each redo two from-scratch
 joins, so each location's join is recomputed ``L-1`` times; analysts
 re-ask the same windows; a ranking study shares its target's join
-across every candidate.  :class:`JoinCache` memoizes the joins so each
-is computed exactly once while it stays valid:
+across every candidate.  :class:`JoinCache` memoizes them so each is
+computed exactly once while it stays valid:
 
 * **AND-joins** (the first level of Eq. 21 and the direct-AND
   benchmark) are keyed by ``(location, frozenset(periods))`` — bitwise
@@ -16,6 +16,9 @@ is computed exactly once while it stays valid:
 * **split-joins** (the two-half construction of Eq. 12) are keyed by
   ``(location, tuple(periods))`` — the half partition follows request
   order, so only an identically-ordered query may reuse the entry.
+  Eq. 12 reads only three fractions off the split-join, so the entry
+  is the frozen :class:`~repro.core.results.PointEstimate` computed
+  from it on the miss, not its three bitmaps: a hit counts no bits.
 
 Entries are LRU-bounded, and invalidation is strict: a genuinely new
 record drops every entry whose period set contains it, a *conflicting*
@@ -26,10 +29,10 @@ cached join still matches the store's contents.  The wiring lives in
 :class:`~repro.server.central.CentralServer`, which subscribes the
 cache to its :class:`~repro.server.store.RecordStore` and archive.
 
-Correctness is bit-exact by construction — a cached entry *is* the
-bitmap the from-scratch join would produce — and enforced by seeded
-equivalence tests over the fig4/fig5 workloads
-(``tests/test_server_cache.py``).
+Correctness is bit-exact by construction — a cached AND entry *is*
+the bitmap the from-scratch join would produce, and a split entry the
+estimate Eq. 12 computes from it — and enforced by seeded equivalence
+tests over the fig4/fig5 workloads (``tests/test_server_cache.py``).
 
 Concurrency: one cache serves every query and upload thread of its
 server.  A single lock guards the entries, the per-location key index
@@ -37,7 +40,7 @@ and the running totals; lookups hold it only to probe and to insert,
 and invalidation and flushes hold it throughout.  The join itself is
 built outside the lock, so two threads missing the same key may both
 build it, and the second insert replaces the first with an identical
-join (a stored record never changes).  Readers of :attr:`stats` see
+value (a stored record never changes).  Readers of :attr:`stats` see
 totals that other threads keep moving.
 """
 
@@ -48,14 +51,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
+from repro.core.results import PointEstimate
 from repro.exceptions import ConfigurationError
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod
 from repro.obs.spans import add_link
 from repro.sketch.bitmap import Bitmap
-from repro.sketch.join import SplitJoinResult
 
-#: Default LRU bound: at 2^20-bit records a full cache is ~64 MB.
+#: Default LRU bound.  Only AND entries hold a bitmap: at 2^20-bit
+#: records a cache full of them is 32 MiB of words, while an Eq. 12
+#: entry is one estimate of a few hundred bytes.
 DEFAULT_MAX_ENTRIES = 256
 
 _CacheKey = Tuple[str, int, object]
@@ -128,14 +133,14 @@ _INVALIDATIONS = {
 
 
 class JoinCache:
-    """LRU-bounded memo of per-location expanded AND- and split-joins.
+    """LRU-bounded memo of per-location AND-joins and Eq. 12 estimates.
 
     Parameters
     ----------
     max_entries:
-        LRU bound on resident entries (joins, not bytes).  Each entry
-        holds one joined bitmap (AND) or three (split) at the query's
-        common size.
+        LRU bound on resident entries (not bytes).  An AND entry holds
+        one joined bitmap at the query's common size; a split entry
+        holds the estimate Eq. 12 yields from the split-join.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -189,13 +194,16 @@ class JoinCache:
         self,
         location: int,
         periods: Sequence[int],
-        build: Callable[[], SplitJoinResult],
-    ) -> SplitJoinResult:
-        """The Eq. 12 split-and-join over an *ordered* period tuple.
+        build: Callable[[], PointEstimate],
+    ) -> PointEstimate:
+        """The Eq. 12 estimate of a split-and-join over an *ordered*
+        period tuple.
 
-        Keyed by the exact order: the two halves are "first ceil(t/2)
-        records" vs "the rest", so permuted queries partition
-        differently and must not share an entry.
+        ``build`` joins the records and evaluates Eq. 12 on a miss; the
+        entry keeps only the resulting estimate, so the split's bitmaps
+        are garbage once it exists.  Keyed by the exact order: the two
+        halves are "first ceil(t/2) records" vs "the rest", so permuted
+        queries partition differently and must not share an entry.
         """
         key = ("split", int(location), tuple(int(p) for p in periods))
         return self._lookup(key, build)
@@ -220,7 +228,9 @@ class JoinCache:
             return value
         if obs.ACTIVE:
             _MISSES[kind].inc()
-        value = build()  # may raise (missing records); nothing cached then
+        # May raise (a missing record, a saturated estimate); nothing
+        # is cached then.
+        value = build()
         built_context = trace_mod.current() if obs.TRACING else None
         evicted = 0
         with self._lock:

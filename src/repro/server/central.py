@@ -284,11 +284,19 @@ class CentralServer:
             return build()
         return self._cache.and_join(location, periods, build)
 
-    def _split_join_for(self, location: int, periods):
-        """The (possibly cached) Eq. 12 split-join, in request order."""
+    def _point_estimate_for(self, location: int, periods) -> PointEstimate:
+        """The (possibly cached) Eq. 12 estimate, split in request order.
+
+        Eq. 12 reads only three fractions off the split-join, so the
+        cache keeps the frozen estimate itself and a hit counts no
+        bits.  An estimate that raises caches nothing.
+        """
         def build():
             records = self._store.records_for(location, periods)
-            return split_and_join([r.bitmap for r in records])
+            split = split_and_join([r.bitmap for r in records])
+            return self._point_estimator.estimate_from_split(
+                split, len(periods)
+            )
 
         if self._cache is None:
             return build()
@@ -478,9 +486,8 @@ class CentralServer:
         with trace_span("server.query", kind="point_persistent"):
             self._trace_links([query.location], query.periods)
             if policy is None:
-                split = self._split_join_for(query.location, query.periods)
-                estimate = self._point_estimator.estimate_from_split(
-                    split, len(query.periods)
+                estimate = self._point_estimate_for(
+                    query.location, query.periods
                 )
                 if obs.ACTIVE:
                     self._observe_query("point_persistent", started)
@@ -488,9 +495,8 @@ class CentralServer:
             report = self._resolve_coverage(
                 [query.location], query.periods, policy
             )
-            split = self._split_join_for(query.location, report.covered)
-            estimate = self._point_estimator.estimate_from_split(
-                split, len(report.covered)
+            estimate = self._point_estimate_for(
+                query.location, report.covered
             )
             if obs.ACTIVE:
                 self._observe_query("point_persistent", started)

@@ -27,7 +27,11 @@ from repro.faults.transport import parse_frame
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod
 from repro.obs.spans import span
-from repro.server.degradation import CoveragePolicy
+from repro.server.degradation import (
+    CoveragePolicy,
+    CoverageReport,
+    DegradedResult,
+)
 from repro.server.sharded import wire
 from repro.server.sharded.breaker import CircuitBreaker
 from repro.server.sharded.client import ShardClient
@@ -257,8 +261,37 @@ class RemoteShardBackend:
 # ----------------------------------------------------------------------
 
 
+def _encode_outcome_result(result, periods: Tuple[int, ...]):
+    """One answered location: its bare estimate when fully covered."""
+    if result is None:
+        return None
+    coverage = result.coverage
+    if coverage.requested == periods and coverage.covered == periods:
+        return wire.encode_estimate(result.value)
+    return wire.encode_degraded(result)
+
+
+def _decode_outcome_result(entry, periods: Tuple[int, ...]):
+    """Inverse of :func:`_encode_outcome_result`."""
+    if entry is None:
+        return None
+    if entry.get("type") == "degraded":
+        return wire.decode_degraded(entry)
+    return DegradedResult(
+        value=wire.decode_estimate(entry),
+        coverage=CoverageReport(requested=periods, covered=periods),
+    )
+
+
 def encode_sharded_result(result: ShardedQueryResult) -> dict:
-    """JSON form of a merged multi-location answer."""
+    """JSON form of a merged multi-location answer.
+
+    A location covered over every requested period is sent as its bare
+    estimate: its coverage lists would only repeat
+    ``requested_periods``, which :func:`decode_sharded_result` restores
+    them from.  Degraded locations keep both lists.
+    """
+    periods = result.requested_periods
     outcomes = []
     for outcome in result.outcomes:
         outcomes.append(
@@ -266,11 +299,7 @@ def encode_sharded_result(result: ShardedQueryResult) -> dict:
                 "location": outcome.location,
                 "shard": outcome.shard,
                 "error": outcome.error,
-                "result": (
-                    wire.encode_degraded(outcome.result)
-                    if outcome.result is not None
-                    else None
-                ),
+                "result": _encode_outcome_result(outcome.result, periods),
             }
         )
     payload = {
@@ -285,22 +314,19 @@ def encode_sharded_result(result: ShardedQueryResult) -> dict:
 
 def decode_sharded_result(payload: dict) -> ShardedQueryResult:
     """Inverse of :func:`encode_sharded_result`."""
+    periods = tuple(payload["requested_periods"])
     outcomes = tuple(
         LocationOutcome(
             location=entry["location"],
             shard=entry["shard"],
-            result=(
-                wire.decode_degraded(entry["result"])
-                if entry.get("result") is not None
-                else None
-            ),
+            result=_decode_outcome_result(entry.get("result"), periods),
             error=entry.get("error", ""),
         )
         for entry in payload["outcomes"]
     )
     return ShardedQueryResult(
         outcomes=outcomes,
-        requested_periods=tuple(payload["requested_periods"]),
+        requested_periods=periods,
         explain=payload.get("explain"),
     )
 

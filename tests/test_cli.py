@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.common import ExperimentConfig
@@ -10,6 +11,9 @@ from repro.experiments.common import ExperimentConfig
 class TestRegistry:
     def test_all_five_artifacts_registered(self):
         assert set(EXPERIMENTS) == {"table1", "table2", "fig4", "fig5", "fig6"}
+
+    def test_cli_subcommands_name_the_registry(self):
+        assert cli._EXPERIMENTS == tuple(sorted(EXPERIMENTS))
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):

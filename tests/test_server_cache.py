@@ -8,10 +8,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, DataError
+from repro.exceptions import (
+    ConfigurationError,
+    DataError,
+    SaturatedBitmapError,
+)
 from repro.rsu.record import TrafficRecord
 from repro.server.cache import JoinCache
 from repro.server.central import CentralServer
+from repro.server.degradation import CoveragePolicy, DegradedResult
 from repro.server.persistence import RecordArchive
 from repro.server.planner import persistent_flow_matrix
 from repro.server.queries import (
@@ -209,7 +214,19 @@ class TestBitExactness:
             assert cached.point_persistent(query) == uncached.point_persistent(
                 query
             )
-        assert cached.cache.stats.hits > 0
+        assert cached.cache.stats.hits == 1
+        # Under a policy, with one requested period missing: the answer
+        # covers the other four, from its own cache entry.
+        query = PointPersistentQuery(
+            location=LOCATION, periods=PERIODS + (len(PERIODS),)
+        )
+        policy = CoveragePolicy(min_coverage=0.5, min_periods=2)
+        for _ in range(2):
+            answer = cached.point_persistent(query, policy=policy)
+            assert answer == uncached.point_persistent(query, policy=policy)
+        assert isinstance(answer, DegradedResult)
+        assert answer.coverage.missing == (len(PERIODS),)
+        assert cached.cache.stats.hits == 3
 
     def test_point_benchmark_identical(self):
         records = _point_records(LOCATION)
@@ -267,6 +284,44 @@ class TestBitExactness:
         assert [s.estimate for s in samples] == [
             s.estimate for s in naive.samples
         ]
+
+
+class TestEstimateCache:
+    """A split-join entry is the Eq. 12 estimate, not its bitmaps."""
+
+    def test_hit_counts_no_bits(self, monkeypatch):
+        server = _server(_point_records(LOCATION))
+        query = PointPersistentQuery(location=LOCATION, periods=PERIODS)
+        first = server.point_persistent(query)
+
+        def no_popcount(self):
+            raise AssertionError("a cache hit counted bits")
+
+        monkeypatch.setattr(Bitmap, "ones", no_popcount)
+        assert server.point_persistent(query) == first
+        assert server.cache.stats.hits == 1
+        assert server.cache.stats.misses == 1
+
+    def test_raising_estimate_is_not_cached(self):
+        size = _point_records(LOCATION)[0].bitmap.size
+        server = _server([])
+        for period in PERIODS:
+            # Straight into the store: the volume history refuses to
+            # size from an all-ones record.
+            server.store.add(
+                TrafficRecord(
+                    location=LOCATION,
+                    period=period,
+                    bitmap=Bitmap(size, [1] * size),
+                )
+            )
+        query = PointPersistentQuery(location=LOCATION, periods=PERIODS)
+        for _ in range(2):
+            with pytest.raises(SaturatedBitmapError):
+                server.point_persistent(query)
+        assert server.cache.stats.misses == 2
+        assert server.cache.stats.hits == 0
+        assert len(server.cache) == 0
 
 
 class TestInvalidation:

@@ -31,6 +31,10 @@ from repro.server.sharded.coordinator import (
     ShardedCoordinator,
 )
 from repro.server.sharded.engine import ShardEngine
+from repro.server.sharded.frontdoor import (
+    decode_sharded_result,
+    encode_sharded_result,
+)
 from repro.server.sharded.wire import Deadline
 from repro.sketch.bitmap import Bitmap
 
@@ -391,6 +395,57 @@ class TestDeadShardMerging:
             _LOCATIONS, _PERIODS, policy=_POLICY
         )
         assert merged.dead_locations == ()
+
+
+def _merged(coordinator, kind):
+    """A merged answer of one kind, over every location and period."""
+    if kind == "strict":
+        covered = [
+            loc for loc in _LOCATIONS if not any(h[0] == loc for h in _HOLES)
+        ]
+        return coordinator.multi_point_persistent(covered, _PERIODS)
+    if kind == "degraded":  # location 5 misses period 0
+        return coordinator.multi_point_persistent(
+            [1, 5, 7], _PERIODS, policy=_POLICY
+        )
+    if kind == "refused":  # location 2 holds neither period 4 nor 5
+        return coordinator.multi_point_persistent(
+            _LOCATIONS, (3, 4, 5), policy=_POLICY
+        )
+    coordinator.backends[coordinator.router.shard_for(1)].kill()
+    return coordinator.multi_point_persistent(
+        _LOCATIONS, _PERIODS, policy=_POLICY
+    )
+
+
+class TestMergedWireForm:
+    @pytest.mark.parametrize(
+        "kind", ["strict", "degraded", "refused", "dead_shard"]
+    )
+    def test_round_trip_is_exact(self, coordinator, kind):
+        merged = _merged(coordinator, kind)
+        wired = json.loads(json.dumps(encode_sharded_result(merged)))
+        assert decode_sharded_result(wired) == merged
+
+    def test_round_trips_cover_every_outcome_shape(self, coordinator):
+        assert not _merged(coordinator, "strict").degraded
+        degraded = _merged(coordinator, "degraded").outcome_for(5)
+        assert degraded.result.coverage.missing == (0,)
+        assert _merged(coordinator, "refused").outcome_for(2).error
+        assert _merged(coordinator, "dead_shard").dead_locations
+
+    def test_full_coverage_is_sent_as_the_bare_estimate(self, coordinator):
+        encoded = encode_sharded_result(_merged(coordinator, "degraded"))
+        results = {
+            entry["location"]: entry["result"] for entry in encoded["outcomes"]
+        }
+        for location in (1, 7):
+            assert results[location]["type"] == "point"
+            assert "requested" not in results[location]
+            assert "covered" not in results[location]
+        assert results[5]["type"] == "degraded"
+        assert results[5]["requested"] == list(_PERIODS)
+        assert results[5]["covered"] == list(_PERIODS[1:])
 
 
 class TestIngestFaults:

@@ -4,9 +4,10 @@ Each tier process should import only what it serves: bitmap joins and
 the closed forms of Eq. 12 and Eq. 21.  SciPy (only the k >= 3
 multi-split root finder needs it), the CLI, the experiment stack and
 the chaos harness stay off a shard worker's import path; the front
-door still imports the CLI, but never SciPy or the chaos harness.
-Likewise a worker records spans only when the front door collects
-them: plain ``serve`` keeps none, ``serve --serve-metrics`` ships them.
+door still imports the CLI, but never SciPy, the chaos harness or an
+experiment it is not running.  Likewise a worker records spans only
+when the front door collects them: plain ``serve`` keeps none,
+``serve --serve-metrics`` ships them.
 
 The import guard runs fresh interpreters, because this test process
 has long since imported everything.  The ``spawn`` start method runs
@@ -20,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -55,8 +57,23 @@ _WORKER_FORBIDDEN = (
     "repro.faults.chaos",
     "repro.faults.drill",
 )
-#: Packages the front door may not load (it does load the CLI).
-_FRONT_DOOR_FORBIDDEN = ("scipy", "repro.faults.chaos", "repro.faults.drill")
+#: Packages the front door may not load.  It does load the CLI, and
+#: through it ``repro.experiments.common``, but no experiment that the
+#: CLI would only load to run it.
+_FRONT_DOOR_FORBIDDEN = (
+    "scipy",
+    "repro.faults.chaos",
+    "repro.faults.drill",
+    "repro.analysis",
+    "repro.privacy",
+    "repro.traffic",
+) + tuple(
+    f"repro.experiments.{module.name}"
+    for module in pkgutil.iter_modules(
+        [str(Path(repro.__file__).parent / "experiments")]
+    )
+    if module.name != "common"
+)
 
 _WORKER_SPAWN_PATH = """
 import runpy
