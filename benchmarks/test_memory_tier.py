@@ -1,25 +1,13 @@
-"""Memory-tier benchmark: packed/compressed density and word joins.
+"""Memory-tier benchmark: packed-word joins versus the seed's bools.
 
-Quantifies what the packed-word backend and tiered record storage buy
-over the seed's dense-bool representation, writing a ``memory_tier``
-section into ``BENCH_perf.json``:
+Every traffic record is held as packed ``uint64`` words, 8x smaller
+than the seed's dense-bool arrays.  This measures what that buys the
+join kernel and writes a ``memory_tier`` section into
+``BENCH_perf.json``:
 
-* **cells_per_gb** — how many ``(location, period)`` record cells one
-  GB holds at production size (2^19 bits) across sparse fills, for
-  the seed dense-bool layout (one byte per bit), packed ``uint64``
-  words (a fixed 8x), and the fill-adaptive compressed form
-  (``Bitmap.compress()`` — sparse/RLE below the break-even, dense
-  words above it).  CI gates the compressed form at >= 8x the seed at
-  every measured fill: compression may only ever *beat* the packed
-  floor, never fall below it.
 * **join_throughput** — bulk AND throughput at 2^19 bits, packed
   words versus the seed's bool arrays.  The word kernel touches 1/8th
-  the bytes, so CI gates word >= 1.0x bool (measured ~5-7x).
-* **mmap_warm_query** — point-persistent latency with every record
-  demoted to the warm (memory-mapped) tier versus fully hot, on a
-  tiered :class:`~repro.server.central.CentralServer`.  Informational:
-  warm queries read through the page cache and should stay within a
-  small factor of hot.
+  the bytes, so CI gates word >= 1.0x bool (measured ~5-12x).
 """
 
 import json
@@ -29,12 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.experiments.common import bench_environment
-from repro.rsu.record import TrafficRecord
-from repro.server.central import CentralServer
-from repro.server.persistence import RecordArchive
-from repro.server.queries import PointPersistentQuery
-from repro.server.tiers import TieredRecordStore
-from repro.sketch.backends import word_count
 from repro.sketch.bitmap import Bitmap
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,14 +24,7 @@ _BENCH_PATH = _REPO_ROOT / "BENCH_perf.json"
 
 #: Production bitmap size (matches the sliding-window benchmark).
 _BITS = 2**19
-#: Sparse fills seen at real intersections at month scale; 0.05 sits
-#: just above compress()'s sparse break-even, so it exercises the
-#: "compression must never lose to packed words" floor exactly.
-_FILLS = (0.001, 0.01, 0.05)
-_GB = 1024**3
 _JOIN_ROUNDS = 200
-_QUERY_PERIODS = 6
-_QUERY_ROUNDS = 30
 _SEED = 20170619
 
 
@@ -65,40 +40,6 @@ def _merge_bench(section: str, payload: dict) -> None:
         existing = {}
     existing[section] = payload
     _BENCH_PATH.write_text(json.dumps(existing, indent=2) + "\n")
-
-
-def _bitmap_at_fill(rng, fill: float) -> Bitmap:
-    bitmap = Bitmap(_BITS)
-    bitmap.set_many(rng.integers(0, _BITS, size=int(_BITS * fill)))
-    return bitmap
-
-
-def _density_grid(rng):
-    grid = []
-    for fill in _FILLS:
-        bitmap = _bitmap_at_fill(rng, fill)
-        compressed = bitmap.copy().compress()
-        seed_bytes = _BITS  # np.bool_ array: one byte per bit
-        packed_bytes = word_count(_BITS) * 8
-        compressed_bytes = compressed.nbytes
-        grid.append(
-            {
-                "fill": fill,
-                "compressed_kind": compressed.backend_kind,
-                "bytes": {
-                    "dense_bool_seed": seed_bytes,
-                    "packed_words": packed_bytes,
-                    "compressed": compressed_bytes,
-                },
-                "cells_per_gb": {
-                    "dense_bool_seed": _GB // seed_bytes,
-                    "packed_words": _GB // packed_bytes,
-                    "compressed": _GB // compressed_bytes,
-                },
-                "compressed_vs_seed": round(seed_bytes / compressed_bytes, 2),
-            }
-        )
-    return grid
 
 
 def _join_throughput(rng):
@@ -129,45 +70,8 @@ def _join_throughput(rng):
     return word_seconds, bool_seconds
 
 
-def _mmap_warm_latency(rng, tmp_path):
-    archive = RecordArchive(tmp_path / "bench_archive")
-    store = TieredRecordStore(archive, hot_capacity=_QUERY_PERIODS + 1)
-    server = CentralServer(store=store, archive=archive, cache=False)
-    for period in range(_QUERY_PERIODS):
-        server.receive_record(
-            TrafficRecord(1, period, _bitmap_at_fill(rng, 0.05))
-        )
-    query = PointPersistentQuery(
-        location=1, periods=tuple(range(_QUERY_PERIODS))
-    )
-
-    hot_estimate = server.point_persistent(query).estimate
-    started = time.perf_counter()
-    for _ in range(_QUERY_ROUNDS):
-        server.point_persistent(query)
-    hot_seconds = time.perf_counter() - started
-
-    for period in range(_QUERY_PERIODS):
-        store.demote(1, period, "warm")
-    warm_estimate = server.point_persistent(query).estimate
-    assert warm_estimate == hot_estimate  # residency is invisible
-    started = time.perf_counter()
-    for _ in range(_QUERY_ROUNDS):
-        server.point_persistent(query)
-    warm_seconds = time.perf_counter() - started
-    return hot_seconds / _QUERY_ROUNDS, warm_seconds / _QUERY_ROUNDS
-
-
-def test_memory_tier_benchmark(tmp_path):
+def test_memory_tier_benchmark():
     rng = np.random.default_rng(_SEED)
-
-    grid = _density_grid(rng)
-    min_density_gain = min(cell["compressed_vs_seed"] for cell in grid)
-    # CI gate: >= 8x cells per GB at every measured sparse fill.
-    assert min_density_gain >= 8.0, (
-        f"compressed cells/GB only {min_density_gain:.2f}x the dense-bool "
-        f"seed (grid: {grid})"
-    )
 
     word_seconds, bool_seconds = _join_throughput(rng)
     join_speedup = bool_seconds / word_seconds
@@ -177,35 +81,18 @@ def test_memory_tier_benchmark(tmp_path):
         f"(word {word_seconds:.4f}s, bool {bool_seconds:.4f}s)"
     )
 
-    hot_latency, warm_latency = _mmap_warm_latency(rng, tmp_path)
-
     _merge_bench(
         "memory_tier",
         {
             "environment": bench_environment(),
             "bitmap_bits": _BITS,
-            "cells_per_gb": grid,
-            "min_compressed_vs_seed": round(min_density_gain, 2),
             "join_throughput": {
                 "rounds": _JOIN_ROUNDS,
                 "seconds_bool": round(bool_seconds, 4),
                 "seconds_words": round(word_seconds, 4),
                 "word_vs_bool": round(join_speedup, 3),
             },
-            "mmap_warm_query": {
-                "periods": _QUERY_PERIODS,
-                "rounds": _QUERY_ROUNDS,
-                "hot_seconds_per_query": round(hot_latency, 6),
-                "warm_seconds_per_query": round(warm_latency, 6),
-                "warm_vs_hot_slowdown": round(
-                    warm_latency / hot_latency, 3
-                ),
-            },
-            "notes": (
-                "min_compressed_vs_seed >= 8.0 and "
-                "join_throughput.word_vs_bool >= 1.0 are asserted in CI. "
-                "mmap_warm_query is informational."
-            ),
+            "notes": "join_throughput.word_vs_bool >= 1.0 is asserted in CI.",
         },
     )
     assert json.loads(_BENCH_PATH.read_text())["memory_tier"]

@@ -37,7 +37,6 @@ from repro.server.queries import (
     PointVolumeQuery,
 )
 from repro.server.store import RecordStore
-from repro.server.tiers import TieredRecordStore
 
 __all__ = [
     "CacheStats",
@@ -55,7 +54,6 @@ __all__ = [
     "RankedSource",
     "RecordArchive",
     "RecordStore",
-    "TieredRecordStore",
     "VolumeHistory",
     "persistent_flow_matrix",
     "persistent_window_series",

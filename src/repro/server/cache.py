@@ -128,7 +128,7 @@ _INVALIDATIONS = {
         "Cached joins dropped by invalidation, by reason.",
         reason=reason,
     )
-    for reason in ("add", "conflict", "flush", "tier")
+    for reason in ("add", "conflict", "flush")
 }
 
 

@@ -157,12 +157,6 @@ class CentralServer:
         explicitly.  Results are bit-identical either way.
     cache_entries:
         LRU bound when the server builds its own cache.
-    store:
-        Optional :class:`~repro.server.store.RecordStore` (or subclass,
-        e.g. :class:`~repro.server.tiers.TieredRecordStore`) to use
-        instead of a fresh in-memory store.  A store whose
-        ``persists_records`` attribute is True persists accepted
-        records itself, so the server skips its own archive write.
     """
 
     def __init__(
@@ -172,11 +166,10 @@ class CentralServer:
         archive=None,
         cache: Union[bool, JoinCache] = True,
         cache_entries: int = DEFAULT_MAX_ENTRIES,
-        store: Optional[RecordStore] = None,
     ):
         if s < 1:
             raise ConfigurationError(f"s must be >= 1, got {s}")
-        self._store = store if store is not None else RecordStore()
+        self._store = RecordStore()
         self._history = VolumeHistory(load_factor=load_factor)
         self._point_estimator = PointPersistentEstimator()
         self._p2p_estimator = PointToPointPersistentEstimator(s)
@@ -194,51 +187,13 @@ class CentralServer:
             self._attach_archive(archive)
 
     @classmethod
-    def from_archive(
-        cls,
-        archive,
-        s: int = 3,
-        load_factor: float = 2.0,
-        tiered: bool = False,
-        hot_capacity: Optional[int] = None,
-    ):
+    def from_archive(cls, archive, s: int = 3, load_factor: float = 2.0):
         """Restore a server from an on-disk archive.
 
-        Default (eager) restore verifies and re-ingests every archived
-        record, rebuilding the volume history with everything resident
-        in RAM.  With ``tiered=True`` the server is backed by a
-        :class:`~repro.server.tiers.TieredRecordStore` instead: the
-        archive's records are adopted as *cold* (loaded on first
-        access, RAM cost zero at startup) while the volume history is
-        still rebuilt by streaming the archive once — queries answer
-        identically either way.  ``hot_capacity`` bounds the tiered
-        store's in-RAM working set.
-
-        Either way the archive stays attached so new records keep
-        being persisted.
+        Verifies and re-ingests every archived record, rebuilding the
+        volume history with everything resident in RAM.  The archive
+        stays attached so new records keep being persisted.
         """
-        if tiered:
-            from repro.server.tiers import (
-                DEFAULT_HOT_CAPACITY,
-                TieredRecordStore,
-            )
-
-            store = TieredRecordStore(
-                archive,
-                hot_capacity=(
-                    DEFAULT_HOT_CAPACITY if hot_capacity is None else hot_capacity
-                ),
-            )
-            server = cls(s=s, load_factor=load_factor, store=store)
-            # The store already knows every record; history has to be
-            # rebuilt directly (re-ingesting would hit the duplicate
-            # path and skip the observations).
-            for record in archive.load_all():
-                server._history.observe(
-                    record.location, max(record.point_estimate(), 1.0)
-                )
-            server._attach_archive(archive)
-            return server
         server = cls(s=s, load_factor=load_factor)
         for record in archive.load_all():
             server.receive_record(record)
@@ -261,13 +216,6 @@ class CentralServer:
             self._cache.invalidate(location, period, reason="add")
         elif event == "conflict":
             self._cache.invalidate(location, reason="conflict")
-        elif event == "tier:cold":
-            # A cold demotion rewrote the record compressed.  The bits
-            # are identical, but dropping the joins that contain it
-            # keeps cached-vs-uncached equivalence trivially provable
-            # across the whole eviction lifecycle; hot/warm moves keep
-            # the words resident and need no invalidation.
-            self._cache.invalidate(location, period, reason="tier")
 
     def _on_archive_repair(self, report) -> None:
         """An archive repair ran: every memoized join is suspect."""
@@ -345,12 +293,8 @@ class CentralServer:
         new_location = self._history.observe(
             record.location, max(record.point_estimate(), 1.0)
         )
-        # A self-persisting store (TieredRecordStore) already wrote the
-        # archive inside ``add`` — don't double-write.
-        persisted = bool(getattr(self._store, "persists_records", False))
-        if self._archive is not None and not persisted:
+        if self._archive is not None:
             self._archive.save(record)
-            persisted = True
         if obs.ACTIVE:
             # Resident records and volume observations alias the
             # ``ingested`` column (see the bank spec), so two adds and
@@ -360,7 +304,7 @@ class CentralServer:
             cell.resident_bits += record.size
             if new_location:
                 cell.history_locations += 1
-            if persisted:
+            if self._archive is not None:
                 cell.archive_writes += 1
             if obs.TRACING:
                 # Remember which upload trace produced this cell, so a

@@ -204,53 +204,6 @@ class RecordArchive:
         self._write_manifest()
         return path
 
-    def rewrite(self, record: TrafficRecord) -> Path:
-        """Replace an archived record's payload with ``record``'s.
-
-        The tiered store (:mod:`repro.server.tiers`) uses this when a
-        record changes *representation* — demotion to the cold tier
-        rewrites the file with a compressed (sparse/RLE) body, warming
-        rewrites legacy payloads as mappable dense words.  The bits
-        must be identical; only the encoding may differ.  Same
-        durability discipline as :meth:`save` (atomic replace, fsync,
-        manifest updated after the data is safe).
-        """
-        key = self._key(record.location, record.period)
-        existing = self._manifest["records"].get(key)
-        if existing is None:
-            raise DataError(
-                f"cannot rewrite a record the archive does not hold "
-                f"(location {record.location}, period {record.period})"
-            )
-        payload = record.to_payload()
-        digest = _checksum(payload)
-        if existing["sha256"] == digest:
-            return self._directory / existing["file"]
-        filename = _record_filename(record.location, record.period)
-        path = self._directory / filename
-        _write_atomic(path, payload)
-        self._manifest["records"][key] = {
-            "file": filename,
-            "sha256": digest,
-            "bits": record.size,
-        }
-        self._write_manifest()
-        return path
-
-    def entry_path(self, location: int, period: int) -> Path:
-        """The on-disk path of one archived record's payload file.
-
-        Raises :class:`DataError` when the archive has no such entry.
-        The warm tier memory-maps this file directly, so the path (not
-        a loaded copy) is the useful handle.
-        """
-        entry = self._manifest["records"].get(self._key(location, period))
-        if entry is None:
-            raise DataError(
-                f"archive has no record for {location}/{period}"
-            )
-        return self._directory / entry["file"]
-
     def save_all(self, records) -> int:
         """Persist many records; returns how many were written."""
         count = 0

@@ -18,9 +18,10 @@ undecodable payloads and conflicting re-uploads are quarantined to the
 dead-letter log (never raised), byte-identical duplicates are absorbed
 idempotently, and an RFR2 frame's surviving trace context is activated
 around ingest so record bindings attribute to the upload's trace.  A
-record is acknowledged ``delivered`` only after its payload is in the
-write-ahead log, which is what makes SIGKILL-then-replay lossless for
-acknowledged uploads.
+new record's payload is appended to the write-ahead log before the
+store sees it, so a record is acknowledged ``delivered`` only once it
+is logged and a failed append leaves the retry deliverable: that is
+what makes SIGKILL-then-replay lossless for acknowledged uploads.
 """
 
 from __future__ import annotations
@@ -201,17 +202,13 @@ class ShardEngine:
             record = TrafficRecord.from_payload(payload)
         except ReproError:
             return self._quarantine("undecodable", frame, context)
-        try:
-            added = self.server.receive_record(record)
-        except DataError:
-            return self._quarantine("conflict", frame, context)
-        if not added:
-            self._uploads.inc("duplicate")
-            return {
-                "outcome": "duplicate",
-                "reason": "byte-identical re-upload",
-            }
-        if self.wal is not None:
+        if self.wal is not None and (
+            self.server.store.get(record.location, record.period) is None
+        ):
+            # Log before memory: once the store holds the cell, a retry
+            # is acked ``duplicate``, so a record that reached memory
+            # but not the log would be acknowledged and then lost on
+            # restart.  Duplicates and conflicts log nothing.
             if trace_mod.current() is not None:
                 # Only under an activated upload context — a WAL span
                 # with no parent would start a fresh root trace per
@@ -222,6 +219,16 @@ class ShardEngine:
                     self.wal.append(payload)
             else:
                 self.wal.append(payload)
+        try:
+            added = self.server.receive_record(record)
+        except DataError:
+            return self._quarantine("conflict", frame, context)
+        if not added:
+            self._uploads.inc("duplicate")
+            return {
+                "outcome": "duplicate",
+                "reason": "byte-identical re-upload",
+            }
         self._uploads.inc("delivered")
         return {"outcome": "delivered", "reason": ""}
 

@@ -16,12 +16,11 @@ integrity are deliberately separate layers).
 
 Record bodies inside RFR frames are the :mod:`repro.sketch.serial`
 payload format verbatim — packed little-endian ``uint64`` words under a
-16-byte header (or a sparse/RLE body when the sender compressed) are
-the canonical wire form, so the receiving shard adopts the words with
-no bool round-trip.  Frames recorded by older senders carry the legacy
-v1 (``packbits``) body and still decode through the serial layer's
-compatibility reader, which is what keeps seed-era WAL segments
-replayable byte-for-byte.
+16-byte header are the canonical wire form, so the receiving shard
+adopts the words with no bool round-trip.  Frames recorded by older
+senders carry the legacy v1 (``packbits``) body and still decode
+through the serial layer's compatibility reader, which is what keeps
+seed-era WAL segments replayable byte-for-byte.
 
 Upload acks, query results and stats replies are UTF-8 JSON bodies.
 Estimate serialization round-trips every IEEE double exactly (Python's

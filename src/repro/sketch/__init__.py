@@ -3,8 +3,9 @@
 This package implements the probabilistic data structures that the
 paper's traffic records are built from:
 
-* :class:`~repro.sketch.bitmap.Bitmap` — a fixed-size bit array with
-  vectorized set/count operations (the paper's traffic record ``B``).
+* :class:`~repro.sketch.bitmap.Bitmap` — a fixed-size bit array held
+  as packed ``uint64`` words, with vectorized set/count operations (the
+  paper's traffic record ``B``).
 * :mod:`~repro.sketch.linear_counting` — the linear probabilistic
   counting estimator of Whang et al. (Eq. 1 of the paper) together with
   its variance analysis.
@@ -20,10 +21,12 @@ paper's traffic records are built from:
 * :mod:`~repro.sketch.batch` — :class:`~repro.sketch.batch.BitmapBatch`
   matrices joining whole Monte-Carlo cells as single numpy reductions.
 * :mod:`~repro.sketch.serial` — compact serialization of traffic
-  records for RSU-to-server uploads.
-* :mod:`~repro.sketch.backends` — the packed-word / sparse-index /
-  run-length representations behind :class:`~repro.sketch.bitmap.Bitmap`
-  (see docs/performance.md, "Compressed bitmaps & tiered storage").
+  records for RSU-to-server uploads: a 16-byte header and the packed
+  words, plus a reader for the seed's version-1 payloads.
+* :mod:`~repro.sketch.backends` — the packed ``uint64`` word kernels
+  (pack/unpack, popcount, scatter, tiling) behind
+  :class:`~repro.sketch.bitmap.Bitmap` (see docs/performance.md,
+  "Packed-word bitmaps").
 """
 
 from repro.sketch.batch import (

@@ -1,46 +1,28 @@
-"""Packed-word, sparse and run-length bitmap representations.
+"""Packed-word kernels behind every bitmap.
 
-The seed stored every traffic record as a dense ``numpy.bool_`` array —
-one full byte per bit.  At city scale most ``(location, period)`` cells
-are sparse and most periods are cold, so the system now supports three
-interchangeable representations, all describing the identical bit
-string:
+The seed stored every traffic record as a ``numpy.bool_`` array, one
+full byte per bit.  Records are now ``uint64`` words, 64 bits per word
+(8x smaller): AND/OR/XOR run as ``np.bitwise_*`` over words and touch
+1/8th the bytes the bool arrays did, and zero counting uses the
+hardware popcount (``np.bitwise_count``) when the installed numpy has
+it, falling back to a byte lookup table.  At the paper's load factor
+f = 2, Eq. 2 sizes a record so that about 22-39% of its bits are set,
+where packed words are already the smallest form, so there is no other.
 
-``dense``
-    ``uint64`` words, 64 bits per word (8x smaller than bool arrays).
-    The default working form: AND/OR/XOR run as ``np.bitwise_*`` over
-    words and touch 1/8th the bytes the bool arrays did, and zero
-    counting uses the hardware popcount (``np.bitwise_count``) when the
-    installed numpy has it, falling back to a byte lookup table.
-``sparse``
-    A sorted ``uint32`` array of set-bit indices.  4 bytes per set bit,
-    so it beats the word form below ~1/16 fill and beats the bool form
-    below ~1/4 fill.  The natural shape for near-empty records.
-``rle``
-    Run-length encoding: ``(start, length)`` pairs of consecutive one
-    runs, 8 bytes per run.  The cold-storage form — clustered bits
-    compress far below the sparse form, and a fully-empty or
-    fully-saturated bitmap is 0 or 1 run.
+Bit layout is little-endian throughout: bit ``i`` of the bitmap is bit
+``i % 64`` of word ``i // 64``, matching ``np.packbits(...,
+bitorder="little")`` viewed as native uint64 on a little-endian host
+(the only hosts the project targets; the serialization layer pins
+``<u8`` on disk and on the wire).
 
-Bit layout of the word form is little-endian throughout: bit ``i`` of
-the bitmap is bit ``i % 64`` of word ``i // 64``, matching
-``np.packbits(..., bitorder="little")`` viewed as native uint64 on a
-little-endian host (the only hosts the project targets; the
-serialization layer pins ``<u8`` on disk and on the wire).
-
-Everything here is pure array plumbing; representation *policy* (which
-form a bitmap should take, promotion/demotion thresholds) lives in
-:mod:`repro.sketch.bitmap`, and the tiered archive policy in
-:mod:`repro.server.tiers`.
+Everything here is pure array plumbing on word arrays and word
+matrices; :class:`~repro.sketch.bitmap.Bitmap` owns the words and the
+RSU staging buffer in front of them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 import numpy as np
-
-from repro.exceptions import SketchError
 
 WORD_BITS = 64
 
@@ -255,157 +237,3 @@ def apply_expanded_words(
     if src.ndim > 1:
         src = src[..., np.newaxis, :]
     op(view, src, out=view)
-
-
-# ----------------------------------------------------------------------
-# words <-> sparse indices <-> run lengths
-# ----------------------------------------------------------------------
-
-
-def words_to_indices(words: np.ndarray, size: int) -> np.ndarray:
-    """Sorted uint32 indices of the set bits."""
-    if int(size) >= 1 << 32:
-        raise SketchError(
-            f"sparse representation requires size < 2^32, got {size}"
-        )
-    return np.flatnonzero(unpack_words(words, size)).astype(np.uint32)
-
-
-def indices_to_words(indices: np.ndarray, size: int) -> np.ndarray:
-    """Dense words with exactly the given bit indices set."""
-    words = np.zeros(word_count(size), dtype=np.uint64)
-    if indices.shape[0]:
-        set_bits_in_words(words, indices)
-    return words
-
-
-def words_to_runs(
-    words: np.ndarray, size: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(starts, lengths)`` uint32 arrays of the maximal one-runs."""
-    if int(size) >= 1 << 32:
-        raise SketchError(f"RLE representation requires size < 2^32, got {size}")
-    bits = unpack_words(words, size).astype(np.int8)
-    boundaries = np.diff(bits, prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(boundaries == 1).astype(np.uint32)
-    ends = np.flatnonzero(boundaries == -1).astype(np.uint32)
-    return starts, (ends - starts).astype(np.uint32)
-
-
-def runs_to_words(
-    starts: np.ndarray, lengths: np.ndarray, size: int
-) -> np.ndarray:
-    """Inverse of :func:`words_to_runs`."""
-    delta = np.zeros(int(size) + 1, dtype=np.int32)
-    np.add.at(delta, starts.astype(np.int64), 1)
-    np.add.at(delta, (starts.astype(np.int64) + lengths.astype(np.int64)), -1)
-    bits = np.cumsum(delta[: int(size)]) > 0
-    return pack_bool(bits)
-
-
-# ----------------------------------------------------------------------
-# Representation containers
-# ----------------------------------------------------------------------
-
-
-class DenseWordsRep:
-    """Packed uint64 words — the default working representation."""
-
-    kind = "dense"
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def nbytes(self) -> int:
-        return int(self.words.nbytes)
-
-    def copy(self) -> "DenseWordsRep":
-        return DenseWordsRep(np.array(self.words))
-
-    def to_words(self, size: int) -> np.ndarray:
-        return self.words
-
-    def popcount(self, size: int) -> int:
-        return popcount_words(self.words)
-
-    def get(self, size: int, index: int) -> bool:
-        word = self.words[index >> 6]
-        return bool((int(word) >> (index & 63)) & 1)
-
-
-class SparseBitsRep:
-    """Sorted set-bit indices — frozen; mutation promotes to dense."""
-
-    kind = "sparse"
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: np.ndarray):
-        self.indices = indices
-
-    def nbytes(self) -> int:
-        return int(self.indices.nbytes)
-
-    def copy(self) -> "SparseBitsRep":
-        return SparseBitsRep(np.array(self.indices))
-
-    def to_words(self, size: int) -> np.ndarray:
-        return indices_to_words(self.indices, size)
-
-    def popcount(self, size: int) -> int:
-        return int(self.indices.shape[0])
-
-    def get(self, size: int, index: int) -> bool:
-        pos = int(np.searchsorted(self.indices, np.uint32(index)))
-        return pos < self.indices.shape[0] and int(self.indices[pos]) == index
-
-
-class RunLengthRep:
-    """Run-length (start, length) pairs — the cold-storage form."""
-
-    kind = "rle"
-    __slots__ = ("starts", "lengths")
-
-    def __init__(self, starts: np.ndarray, lengths: np.ndarray):
-        self.starts = starts
-        self.lengths = lengths
-
-    def nbytes(self) -> int:
-        return int(self.starts.nbytes + self.lengths.nbytes)
-
-    def copy(self) -> "RunLengthRep":
-        return RunLengthRep(np.array(self.starts), np.array(self.lengths))
-
-    def to_words(self, size: int) -> np.ndarray:
-        return runs_to_words(self.starts, self.lengths, size)
-
-    def popcount(self, size: int) -> int:
-        return int(self.lengths.sum(dtype=np.int64))
-
-    def get(self, size: int, index: int) -> bool:
-        pos = int(np.searchsorted(self.starts, np.uint32(index), side="right"))
-        if pos == 0:
-            return False
-        start = int(self.starts[pos - 1])
-        return index < start + int(self.lengths[pos - 1])
-
-
-def representation_sizes(words: np.ndarray, size: int) -> dict:
-    """Byte cost of each representation of the given bit string.
-
-    The measured-fill selection rule (:meth:`Bitmap.compress`) and the
-    memory benchmark both read from this one table, so the promotion
-    thresholds the docs quote are exactly what the code computes.
-    """
-    ones = popcount_words(words)
-    starts, lengths = (
-        words_to_runs(words, size) if size < 1 << 32 else (None, None)
-    )
-    sizes = {
-        "dense": word_count(size) * 8,
-        "dense_bool_seed": int(size),  # the pre-PR-9 baseline: 1 byte/bit
-    }
-    if size < 1 << 32:
-        sizes["sparse"] = ones * 4
-        sizes["rle"] = int(starts.shape[0]) * 8
-    return sizes

@@ -95,7 +95,7 @@ class BitmapBatch:
                 f"all bitmaps in a batch must share one size, got {sorted(sizes)}"
             )
         return cls._adopt_words(
-            bitmaps[0].size, np.stack([b._dense_words() for b in bitmaps])
+            bitmaps[0].size, np.stack([b._packed_words() for b in bitmaps])
         )
 
     @classmethod

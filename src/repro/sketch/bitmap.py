@@ -6,94 +6,30 @@ are set by passing vehicles (Section II-D).  This module provides a
 single and bulk bit setting, zero/one accounting, bitwise AND/OR
 combination, and replication-based expansion.
 
-The representation is pluggable (see :mod:`repro.sketch.backends`):
+A bitmap holds its bits as packed ``uint64`` words (see
+:mod:`repro.sketch.backends`): AND/OR/XOR run as word ops over 1/8th
+the bytes of the seed's bool arrays, and counting uses hardware
+popcount where numpy offers it.
 
-* ``dense`` — packed ``uint64`` words, the default working form.
-  AND/OR/XOR run as word ops over 1/8th the bytes of the seed's bool
-  arrays, and counting uses hardware popcount where numpy offers it.
-* ``sparse`` — sorted set-bit indices, for near-empty records.
-* ``rle`` — run-length pairs, the cold-storage form.
-
-Freshly-constructed empty bitmaps additionally *stage* in a mutable
-bool array: scattering vehicle hashes into a byte-per-bit array is
-several times faster than read-modify-write word scatters, so the RSU
-encoding hot path mutates the stage and the bitmap packs itself into
-words on first use as an operand (``words``/joins/serialization).
-Staged bitmaps report ``backend_kind == "dense"`` — the stage is a
-write buffer in front of the dense form, not a fourth representation.
-
-Mutating a ``sparse`` or ``rle`` bitmap transparently promotes it to
-``dense`` first; :meth:`Bitmap.compress` demotes to whichever
-representation measures smallest for the actual bit content.  All
-representations describe the identical bit string, so every estimator
-is bit-for-bit unaffected by representation choice.
+Freshly-constructed empty bitmaps first *stage* in a mutable bool
+array: scattering vehicle hashes into a byte-per-bit array is several
+times faster than read-modify-write word scatters, so the RSU encoding
+hot path mutates the stage, and the bitmap packs itself into words on
+its first use as an operand (``words``, joins, bitwise operators).
+Serialization, expansion and equality pack a copy and leave the stage
+in place.  Either way the bit string is the same, so every estimator
+is bit-for-bit unaffected by staging.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from repro.exceptions import SketchError
-from repro.obs import runtime as obs
 from repro.sketch import backends
-from repro.sketch.backends import (
-    DenseWordsRep,
-    RunLengthRep,
-    SparseBitsRep,
-)
 from repro.sketch.sizing import is_power_of_two
-
-#: Destination-kind conversion counters, bound at import so the
-#: families export at zero from the moment observability is enabled.
-_REPR_CONVERSIONS = {
-    kind: obs.bind_counter(
-        "repro_bitmap_representation_total",
-        help="Bitmap representation conversions by destination kind.",
-        kind=kind,
-    )
-    for kind in ("dense", "sparse", "rle")
-}
-
-REPRESENTATION_KINDS = ("dense", "sparse", "rle")
-
-
-class _StageRep:
-    """Mutable bool staging buffer in front of the dense form.
-
-    Only empty-constructed bitmaps get one; it exists because bulk
-    index scatters (``bits[idx] = True``) into a byte-per-bit array
-    beat ``np.bitwise_or.at`` word scatters by ~5x at production
-    sizes.  The first packed-word consumer swaps it for
-    :class:`~repro.sketch.backends.DenseWordsRep`.
-    """
-
-    kind = "stage"
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: np.ndarray):
-        self.bits = bits
-
-    def nbytes(self) -> int:
-        return int(self.bits.nbytes)
-
-    def copy(self) -> "_StageRep":
-        return _StageRep(self.bits.copy())
-
-    def to_words(self, size: int) -> np.ndarray:
-        return backends.pack_bool(self.bits)
-
-    def popcount(self, size: int) -> int:
-        return int(np.count_nonzero(self.bits))
-
-    def get(self, size: int, index: int) -> bool:
-        return bool(self.bits[index])
-
-
-def _note_conversion(kind: str) -> None:
-    if obs.ACTIVE:
-        _REPR_CONVERSIONS[kind].inc()
 
 
 class Bitmap:
@@ -122,15 +58,17 @@ class Bitmap:
     0.875
     """
 
-    __slots__ = ("_size", "_rep")
+    __slots__ = ("_size", "_words", "_stage")
 
     def __init__(self, size: int, bits: Union[np.ndarray, Iterable[int], None] = None):
         if int(size) <= 0:
             raise SketchError(f"bitmap size must be positive, got {size}")
         size = int(size)
         self._size = size
+        self._words: Optional[np.ndarray] = None
+        self._stage: Optional[np.ndarray] = None
         if bits is None:
-            self._rep = _StageRep(np.zeros(size, dtype=np.bool_))
+            self._stage = np.zeros(size, dtype=np.bool_)
         else:
             arr = np.asarray(bits, dtype=np.bool_)
             if arr.ndim != 1 or arr.shape[0] != size:
@@ -138,7 +76,7 @@ class Bitmap:
                     f"initial bits must be a flat array of length {size}, "
                     f"got shape {arr.shape}"
                 )
-            self._rep = DenseWordsRep(backends.pack_bool(arr))
+            self._words = backends.pack_bool(arr)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -151,38 +89,19 @@ class Bitmap:
         return cls(arr.shape[0], arr)
 
     @classmethod
-    def _adopt(cls, bits: np.ndarray) -> "Bitmap":
-        """Wrap a freshly-allocated boolean array *without* copying.
-
-        Internal: the caller transfers ownership of ``bits`` (a flat,
-        non-empty ``bool_`` array nobody else mutates).  The array
-        becomes the bitmap's mutation stage; word consumers pack it
-        lazily like any other staged bitmap.
-        """
-        bitmap = cls.__new__(cls)
-        bitmap._size = int(bits.shape[0])
-        bitmap._rep = _StageRep(bits)
-        return bitmap
-
-    @classmethod
     def _adopt_words(cls, size: int, words: np.ndarray) -> "Bitmap":
         """Wrap a freshly-allocated word array *without* copying.
 
         Internal: ``words`` must be a ``uint64`` array of exactly
         ``word_count(size)`` words whose bits beyond ``size`` are zero
         (the tail invariant every producer in this package maintains).
-        Used by the join accumulators and the interval-index pools.
+        Used by the join accumulators, the interval-index pools and
+        the deserializer.
         """
         bitmap = cls.__new__(cls)
         bitmap._size = int(size)
-        bitmap._rep = DenseWordsRep(words)
-        return bitmap
-
-    @classmethod
-    def _with_rep(cls, size: int, rep) -> "Bitmap":
-        bitmap = cls.__new__(cls)
-        bitmap._size = int(size)
-        bitmap._rep = rep
+        bitmap._words = words
+        bitmap._stage = None
         return bitmap
 
     @classmethod
@@ -197,8 +116,12 @@ class Bitmap:
         return bitmap
 
     def copy(self) -> "Bitmap":
-        """Return an independent copy, preserving the representation."""
-        return Bitmap._with_rep(self._size, self._rep.copy())
+        """Return an independent copy (a staged bitmap stays staged)."""
+        bitmap = Bitmap.__new__(Bitmap)
+        bitmap._size = self._size
+        bitmap._words = None if self._words is None else self._words.copy()
+        bitmap._stage = None if self._stage is None else self._stage.copy()
+        return bitmap
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -213,15 +136,14 @@ class Bitmap:
     def bits(self) -> np.ndarray:
         """Read-only boolean array of the bitmap's content.
 
-        For staged bitmaps this is a view of the live stage; for packed
-        representations it is unpacked on demand.  Either way it is not
-        writable — mutation goes through :meth:`set`/:meth:`set_many`.
+        For staged bitmaps this is a view of the live stage; packed
+        bitmaps unpack on demand.  Either way it is not writable —
+        mutation goes through :meth:`set`/:meth:`set_many`.
         """
-        rep = self._rep
-        if rep.kind == "stage":
-            view = rep.bits.view()
+        if self._stage is not None:
+            view = self._stage.view()
         else:
-            view = backends.unpack_words(rep.to_words(self._size), self._size)
+            view = backends.unpack_words(self._words, self._size)
         view.flags.writeable = False
         return view
 
@@ -229,91 +151,30 @@ class Bitmap:
     def words(self) -> np.ndarray:
         """Read-only packed ``uint64`` words (little-endian bit order).
 
-        Accessing this on a staged/sparse/rle bitmap converts it to the
-        dense form in place first, so repeated word consumers pay the
-        conversion once.
+        Accessing this on a staged bitmap packs it in place first, so
+        repeated word consumers pay the packing once.
         """
-        view = self._dense_words().view()
+        view = self._packed_words().view()
         view.flags.writeable = False
         return view
-
-    @property
-    def backend_kind(self) -> str:
-        """Current representation: ``dense``, ``sparse`` or ``rle``."""
-        kind = self._rep.kind
-        return "dense" if kind == "stage" else kind
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the current representation's arrays."""
-        return self._rep.nbytes()
 
     @property
     def is_power_of_two_sized(self) -> bool:
         """Whether ``size`` is a power of two (required for joining)."""
         return is_power_of_two(self._size)
 
-    # ------------------------------------------------------------------
-    # Representation management
-    # ------------------------------------------------------------------
-
-    def _dense_words(self) -> np.ndarray:
-        """The packed words, converting this bitmap to dense in place."""
-        rep = self._rep
-        if rep.kind != "dense":
-            rep = DenseWordsRep(rep.to_words(self._size))
-            self._rep = rep
-            _note_conversion("dense")
-        return rep.words
+    def _packed_words(self) -> np.ndarray:
+        """The packed words, dropping the staging buffer if there is one."""
+        if self._stage is not None:
+            self._words = backends.pack_bool(self._stage)
+            self._stage = None
+        return self._words
 
     def _words_view(self) -> np.ndarray:
-        """Packed words *without* changing the stored representation."""
-        return self._rep.to_words(self._size)
-
-    def pack(self) -> "Bitmap":
-        """Ensure the dense packed-word form; returns ``self``."""
-        self._dense_words()
-        return self
-
-    def compress(self) -> "Bitmap":
-        """Switch to whichever representation measures smallest.
-
-        The choice is by actual byte cost for this bitmap's content —
-        the "measured fill thresholds" are therefore exact, not tuned:
-        sparse (4 B/set bit) wins below 1/16 fill, RLE (8 B/run) wins
-        whenever bits cluster into few runs, dense wins ties.  Returns
-        ``self``.
-        """
-        words = self._words_view()
-        sizes = backends.representation_sizes(words, self._size)
-        best = min(REPRESENTATION_KINDS, key=lambda kind: sizes.get(kind, 1 << 62))
-        if sizes["dense"] <= sizes.get(best, 1 << 62):
-            best = "dense"
-        return self._convert_to(best, words)
-
-    def to_representation(self, kind: str) -> "Bitmap":
-        """A new bitmap with the same bits in the given representation."""
-        if kind not in REPRESENTATION_KINDS:
-            raise SketchError(
-                f"unknown bitmap representation {kind!r}; "
-                f"expected one of {REPRESENTATION_KINDS}"
-            )
-        return self.copy()._convert_to(kind, None)
-
-    def _convert_to(self, kind: str, words) -> "Bitmap":
-        if kind == self._rep.kind:
-            return self
-        if words is None:
-            words = self._words_view()
-        if kind == "dense":
-            self._rep = DenseWordsRep(words)
-        elif kind == "sparse":
-            self._rep = SparseBitsRep(backends.words_to_indices(words, self._size))
-        else:
-            starts, lengths = backends.words_to_runs(words, self._size)
-            self._rep = RunLengthRep(starts, lengths)
-        _note_conversion(kind)
-        return self
+        """Packed words, leaving a staged bitmap staged."""
+        if self._stage is not None:
+            return backends.pack_bool(self._stage)
+        return self._words
 
     # ------------------------------------------------------------------
     # Mutation
@@ -324,12 +185,10 @@ class Bitmap:
         idx = int(index)
         if not 0 <= idx < self._size:
             raise SketchError(f"bit index {idx} out of range for size {self._size}")
-        rep = self._rep
-        if rep.kind == "stage":
-            rep.bits[idx] = True
+        if self._stage is not None:
+            self._stage[idx] = True
         else:
-            words = self._dense_words()
-            words[idx >> 6] |= np.uint64(1) << np.uint64(idx & 63)
+            self._words[idx >> 6] |= np.uint64(1) << np.uint64(idx & 63)
 
     def set_many(
         self, indices: Iterable[int], *, assume_in_range: bool = False
@@ -360,20 +219,18 @@ class Bitmap:
                     f"bit indices must lie in [0, {self._size}), "
                     f"got range [{idx.min()}, {idx.max()}]"
                 )
-        rep = self._rep
-        if rep.kind == "stage":
-            rep.bits[idx] = True
+        if self._stage is not None:
+            self._stage[idx] = True
         else:
-            backends.set_bits_in_words(self._dense_words(), idx)
+            backends.set_bits_in_words(self._words, idx)
 
     def clear(self) -> None:
         """Reset every bit to zero (start of a new measurement period)."""
-        rep = self._rep
-        if rep.kind == "stage":
-            rep.bits[:] = False
+        if self._stage is not None:
+            self._stage[:] = False
         else:
-            self._rep = DenseWordsRep(
-                np.zeros(backends.word_count(self._size), dtype=np.uint64)
+            self._words = np.zeros(
+                backends.word_count(self._size), dtype=np.uint64
             )
 
     # ------------------------------------------------------------------
@@ -385,11 +242,15 @@ class Bitmap:
         idx = int(index)
         if not 0 <= idx < self._size:
             raise SketchError(f"bit index {idx} out of range for size {self._size}")
-        return self._rep.get(self._size, idx)
+        if self._stage is not None:
+            return bool(self._stage[idx])
+        return bool((int(self._words[idx >> 6]) >> (idx & 63)) & 1)
 
     def ones(self) -> int:
-        """Number of bits that are one (popcount on the dense form)."""
-        return self._rep.popcount(self._size)
+        """Number of bits that are one (popcount over the words)."""
+        if self._stage is not None:
+            return int(np.count_nonzero(self._stage))
+        return backends.popcount_words(self._words)
 
     def zeros(self) -> int:
         """Number of bits that are zero."""
@@ -427,32 +288,30 @@ class Bitmap:
     def __and__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_size(other, "AND")
         return Bitmap._adopt_words(
-            self._size, self._dense_words() & other._dense_words()
+            self._size, self._packed_words() & other._packed_words()
         )
 
     def __or__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_size(other, "OR")
         return Bitmap._adopt_words(
-            self._size, self._dense_words() | other._dense_words()
+            self._size, self._packed_words() | other._packed_words()
         )
 
     def __xor__(self, other: "Bitmap") -> "Bitmap":
         self._check_same_size(other, "XOR")
         return Bitmap._adopt_words(
-            self._size, self._dense_words() ^ other._dense_words()
+            self._size, self._packed_words() ^ other._packed_words()
         )
 
     def __invert__(self) -> "Bitmap":
-        inverted = ~self._dense_words()
+        inverted = ~self._packed_words()
         inverted[-1] &= backends.tail_mask(self._size)
         return Bitmap._adopt_words(self._size, inverted)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Bitmap):
             return NotImplemented
-        # Via the side-effect-free word view: equality across mixed
-        # representations (a hot dense record vs its cold RLE twin)
-        # must not silently re-inflate the compressed one.
+        # Via the word view, so comparing never unstages a bitmap.
         return self._size == other.size and bool(
             np.array_equal(self._words_view(), other._words_view())
         )

@@ -134,12 +134,10 @@ class IntervalJoinIndex:
             if key in self._escaped:
                 self._escaped.discard(key)
                 continue
-            rep = value._rep
-            if rep.kind != "dense":
-                continue
+            # Entries above level 0 are join outputs, always packed.
             pool = self._pools.setdefault(value.size, [])
             if len(pool) < _POOL_LIMIT:
-                pool.append(rep.words)
+                pool.append(value._words)
         self._table = kept
         return drop
 
@@ -175,7 +173,7 @@ class IntervalJoinIndex:
             if pool
             else np.empty(word_count(left.size), dtype=np.uint64)
         )
-        np.bitwise_and(left._dense_words(), right._dense_words(), out=out)
+        np.bitwise_and(left._packed_words(), right._packed_words(), out=out)
         return Bitmap._adopt_words(left.size, out)
 
     def _entry(self, level: int, start: int) -> Bitmap:

@@ -93,9 +93,9 @@ def _accumulate_join(
     first = bitmaps[0]
     factor = expansion_factor(first.size, size)
     # tile_words copies even at factor 1 — the one unavoidable copy.
-    out = backends.tile_words(first._dense_words(), first.size, factor)
+    out = backends.tile_words(first._packed_words(), first.size, factor)
     for bitmap in bitmaps[1:]:
-        apply_expanded_words(out, size, bitmap._dense_words(), bitmap.size, op)
+        apply_expanded_words(out, size, bitmap._packed_words(), bitmap.size, op)
     return Bitmap._adopt_words(size, out)
 
 

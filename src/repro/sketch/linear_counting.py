@@ -130,12 +130,10 @@ class LinearCounting:
     def estimate(self, bitmap: Bitmap) -> LinearCountingResult:
         """Estimate the number of distinct items encoded in ``bitmap``.
 
-        ``V_0`` comes from :meth:`Bitmap.zero_fraction`, which counts
-        set bits on the bitmap's current representation — a popcount
-        over packed words for dense bitmaps (hardware
-        ``np.bitwise_count`` where available), the index count for
-        sparse ones, a run-length sum for RLE — so estimation never
-        forces a representation change.
+        ``V_0`` comes from :meth:`Bitmap.zero_fraction`: a popcount
+        over the packed words (hardware ``np.bitwise_count`` where
+        available), or a count over a staged bitmap's bool buffer, so
+        estimation never forces packing.
         """
         v0 = bitmap.zero_fraction()
         value = linear_counting_estimate(v0, bitmap.size, exact=self._exact)

@@ -9,26 +9,24 @@ Wire format (version 2, magic ``RBW2``)::
 
     offset  size  field
     0       4     magic  b"RBW2"
-    4       1     kind   0 = dense words, 1 = sparse indices, 2 = RLE
+    4       1     kind   0 = packed words
     5       3     padding (zero) — keeps the body 8-byte aligned
     8       8     bit count m, little-endian uint64
-    16      ...   body
+    16      ...   body: the packed uint64 words, little-endian,
+                  8 * ceil(m/64) bytes
 
-* dense body — the packed ``uint64`` words as little-endian bytes,
-  ``8 * ceil(m/64)`` of them.  Because the in-memory representation is
-  already packed words, serialization is a header plus ``tobytes()``
-  and deserialization a ``frombuffer`` copy: the seed's per-upload
-  ``np.packbits``/``np.unpackbits`` round-trip is gone.
-* sparse body — the sorted set-bit indices as little-endian uint32.
-* rle body — interleaved little-endian uint32 ``(start, length)``
-  pairs of the maximal one-runs.
+Because a bitmap already holds packed words, serialization is a header
+plus ``tobytes()`` and deserialization a ``frombuffer`` copy: the
+seed's per-upload ``np.packbits``/``np.unpackbits`` round-trip is gone.
+Kinds 1 and 2 once carried sparse-index and run-length bodies; the
+reader rejects them (and any other kind) with
+:class:`~repro.exceptions.SketchError`, so a shard quarantines such a
+frame as undecodable.
 
-The 16-byte header is exactly the :class:`~repro.rsu.record`
-payload's bitmap offset alignment: a record payload is 16 bytes of
-location/period followed by this serialization, so a dense record's
-words begin at byte 32 of the record file — 8-byte aligned, which is
-what lets the warm tier memory-map ``.record`` files directly
-(:mod:`repro.server.tiers`).
+The 16-byte header is exactly the :class:`~repro.rsu.record` payload's
+bitmap offset alignment: a record payload is 16 bytes of
+location/period followed by this serialization, so a record's words
+begin at byte 32 of the record file, 8-byte aligned.
 
 The seed's version-1 format (8-byte size header + big-bit-order
 ``np.packbits`` body, no magic) is still read transparently:
@@ -57,33 +55,12 @@ _HEADER = struct.Struct("<4sB3xQ")  # magic, kind, pad, bit count
 HEADER_SIZE = _HEADER.size
 
 KIND_DENSE = 0
-KIND_SPARSE = 1
-KIND_RLE = 2
-
-_KIND_BY_NAME = {"dense": KIND_DENSE, "sparse": KIND_SPARSE, "rle": KIND_RLE}
-_NAME_BY_KIND = {v: k for k, v in _KIND_BY_NAME.items()}
 
 
 def serialize_bitmap(bitmap: Bitmap) -> bytes:
-    """Pack a bitmap, preserving its current representation.
-
-    Dense (and staged) bitmaps serialize as raw words; sparse and RLE
-    bitmaps keep their compressed form on the wire and on disk, so a
-    cold archive file is as small as the in-memory representation.
-    """
-    rep = bitmap._rep
-    kind = _KIND_BY_NAME.get(rep.kind, KIND_DENSE)
-    if kind == KIND_DENSE:
-        words = bitmap._words_view()
-        body = words.astype("<u8", copy=False).tobytes()
-    elif kind == KIND_SPARSE:
-        body = rep.indices.astype("<u4", copy=False).tobytes()
-    else:
-        pairs = np.empty((rep.starts.shape[0], 2), dtype="<u4")
-        pairs[:, 0] = rep.starts
-        pairs[:, 1] = rep.lengths
-        body = pairs.tobytes()
-    return _HEADER.pack(_MAGIC, kind, bitmap.size) + body
+    """Pack a bitmap: the v2 header, then its little-endian words."""
+    body = bitmap._words_view().astype("<u8", copy=False).tobytes()
+    return _HEADER.pack(_MAGIC, KIND_DENSE, bitmap.size) + body
 
 
 def serialize_bitmap_legacy(bitmap: Bitmap) -> bytes:
@@ -99,15 +76,15 @@ def serialize_bitmap_legacy(bitmap: Bitmap) -> bytes:
 def parse_header(payload: bytes) -> Tuple[str, int, int]:
     """``(kind, size, body_offset)`` of a serialized bitmap.
 
-    Understands both formats; the body offset lets callers (the warm
-    tier's memory-mapper) locate the dense words inside a larger file
-    without copying the payload.
+    ``kind`` is ``"dense"`` (v2) or ``"legacy"`` (v1); the body offset
+    lets callers locate the words inside a larger payload without
+    copying it.
     """
     if payload[:4] == _MAGIC and len(payload) >= HEADER_SIZE:
         _, kind, size = _HEADER.unpack_from(payload)
-        if kind not in _NAME_BY_KIND:
+        if kind != KIND_DENSE:
             raise SketchError(f"unknown bitmap representation kind {kind}")
-        return _NAME_BY_KIND[kind], int(size), HEADER_SIZE
+        return "dense", int(size), HEADER_SIZE
     if len(payload) < _LEGACY_HEADER.size:
         raise SketchError("bitmap payload too short to contain a header")
     (size,) = _LEGACY_HEADER.unpack_from(payload)
@@ -133,51 +110,16 @@ def deserialize_bitmap(payload: bytes) -> Bitmap:
     body = payload[offset:]
     if kind == "legacy":
         return _deserialize_legacy(size, body)
-    if kind == "dense":
-        expected = backends.word_count(size) * 8
-        if len(body) != expected:
-            raise SketchError(
-                f"dense bitmap body has {len(body)} bytes, "
-                f"expected {expected} for {size} bits"
-            )
-        words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-        if int(words[-1]) & ~int(backends.tail_mask(size)) & 0xFFFFFFFFFFFFFFFF:
-            raise SketchError(
-                f"dense bitmap body sets bits beyond the declared "
-                f"size of {size}"
-            )
-        return Bitmap._adopt_words(size, words)
-    if len(body) % 4 != 0:
+    expected = backends.word_count(size) * 8
+    if len(body) != expected:
         raise SketchError(
-            f"{kind} bitmap body length {len(body)} is not a multiple of 4"
+            f"dense bitmap body has {len(body)} bytes, "
+            f"expected {expected} for {size} bits"
         )
-    values = np.frombuffer(body, dtype="<u4").astype(np.uint32)
-    if kind == "sparse":
-        if values.shape[0] and (
-            int(values.max()) >= size
-            or np.any(values[1:] <= values[:-1])
-        ):
-            raise SketchError(
-                "sparse bitmap body must be strictly increasing "
-                f"indices below {size}"
-            )
-        return Bitmap._with_rep(
-            size, backends.SparseBitsRep(values)
+    words = np.frombuffer(body, dtype="<u8").astype(np.uint64)
+    if int(words[-1]) & ~int(backends.tail_mask(size)) & 0xFFFFFFFFFFFFFFFF:
+        raise SketchError(
+            f"dense bitmap body sets bits beyond the declared "
+            f"size of {size}"
         )
-    if values.shape[0] % 2 != 0:
-        raise SketchError("rle bitmap body must hold (start, length) pairs")
-    pairs = values.reshape(-1, 2)
-    starts = np.ascontiguousarray(pairs[:, 0])
-    lengths = np.ascontiguousarray(pairs[:, 1])
-    if starts.shape[0]:
-        ends = starts.astype(np.int64) + lengths.astype(np.int64)
-        if (
-            int(ends.max()) > size
-            or np.any(lengths == 0)
-            or np.any(starts[1:].astype(np.int64) < ends[:-1])
-        ):
-            raise SketchError(
-                f"rle bitmap body has overlapping, empty or out-of-range "
-                f"runs for size {size}"
-            )
-    return Bitmap._with_rep(size, backends.RunLengthRep(starts, lengths))
+    return Bitmap._adopt_words(size, words)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,36 @@ class TestEngineWalContract:
             assert revived.server.store.get(record.location, record.period) == record
         # The archive now owns the records; the WAL starts empty.
         assert list(revived.wal.replay()) == []
+
+    def test_failed_wal_append_leaves_the_retry_deliverable(
+        self, tmp_path, monkeypatch
+    ):
+        # A WAL write error must not leave the record in memory only:
+        # the retry would then be acked ``duplicate`` and a restart
+        # would lose an acknowledged record.
+        config = ShardConfig(shard_id=0, data_dir=str(tmp_path))
+        wal = ShardWriteAheadLog(config.wal_path)
+        engine = ShardEngine(shard_id=0, wal=wal)
+        append = wal.append
+        failures = [OSError(errno.ENOSPC, "No space left on device")]
+
+        def append_failing_once(payload):
+            if failures:
+                raise failures.pop()
+            append(payload)
+
+        monkeypatch.setattr(wal, "append", append_failing_once)
+        record = _record(3, 1)
+        frame = frame_payload(record.to_payload())
+        with pytest.raises(OSError):
+            engine.handle_frame(frame)
+        assert engine.handle_frame(frame)["outcome"] == "delivered"
+        assert list(wal.replay()) == [record.to_payload()]
+        del engine  # no close(): simulated SIGKILL
+
+        revived = recover_engine(config)
+        assert len(revived.server.store) == 1
+        assert revived.server.store.get(3, 1) == record
 
     def test_recovery_is_idempotent_across_restarts(self, tmp_path):
         config = ShardConfig(shard_id=0, data_dir=str(tmp_path))

@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import SketchError
 from repro.sketch import backends
 from repro.sketch.backends import (
-    DenseWordsRep,
-    RunLengthRep,
-    SparseBitsRep,
     apply_expanded_words,
-    indices_to_words,
     pack_bool,
     pack_bool_matrix,
     popcount_rows,
     popcount_words,
-    representation_sizes,
-    runs_to_words,
     set_bits_in_words,
     tail_mask,
     tile_words,
@@ -24,8 +17,6 @@ from repro.sketch.backends import (
     unpack_words,
     unpack_words_matrix,
     word_count,
-    words_to_indices,
-    words_to_runs,
 )
 
 
@@ -134,85 +125,3 @@ class TestApplyExpandedWords:
             out_bits, np.tile(src_bits, out_size // src_size)
         )
         assert np.array_equal(unpack_words(words, out_size), expected)
-
-
-class TestSparseAndRle:
-    def test_indices_roundtrip(self, rng):
-        size = 1000
-        bits = random_bits(rng, size, fill=0.05)
-        words = pack_bool(bits)
-        idx = words_to_indices(words, size)
-        assert np.array_equal(idx, np.flatnonzero(bits))
-        assert np.array_equal(indices_to_words(idx, size), words)
-
-    def test_runs_roundtrip(self, rng):
-        size = 500
-        bits = random_bits(rng, size, fill=0.5)
-        words = pack_bool(bits)
-        starts, lengths = words_to_runs(words, size)
-        assert np.array_equal(runs_to_words(starts, lengths, size), words)
-        assert int(lengths.sum()) == int(bits.sum())
-
-    def test_runs_on_edge_patterns(self):
-        for pattern in (
-            np.ones(64, dtype=bool),
-            np.zeros(64, dtype=bool),
-            np.array([True] + [False] * 62 + [True]),
-        ):
-            words = pack_bool(pattern)
-            starts, lengths = words_to_runs(words, len(pattern))
-            assert np.array_equal(
-                runs_to_words(starts, lengths, len(pattern)), words
-            )
-
-    def test_sparse_rep_get(self, rng):
-        size = 256
-        bits = random_bits(rng, size, fill=0.1)
-        rep = SparseBitsRep(np.flatnonzero(bits).astype(np.uint32))
-        for i in range(size):
-            assert rep.get(size, i) == bool(bits[i])
-
-    def test_rle_rep_get(self, rng):
-        size = 256
-        bits = random_bits(rng, size, fill=0.4)
-        words = pack_bool(bits)
-        starts, lengths = words_to_runs(words, size)
-        rep = RunLengthRep(starts, lengths)
-        for i in range(size):
-            assert rep.get(size, i) == bool(bits[i])
-
-    def test_all_reps_agree_on_words_and_popcount(self, rng):
-        size = 512
-        bits = random_bits(rng, size, fill=0.2)
-        words = pack_bool(bits)
-        starts, lengths = words_to_runs(words, size)
-        reps = [
-            DenseWordsRep(words),
-            SparseBitsRep(words_to_indices(words, size)),
-            RunLengthRep(starts, lengths),
-        ]
-        for rep in reps:
-            assert np.array_equal(rep.to_words(size), words), rep.kind
-            assert rep.popcount(size) == int(bits.sum()), rep.kind
-
-    def test_sparse_rejects_oversized_bitmaps(self):
-        words = np.zeros(word_count(64), dtype=np.uint64)
-        with pytest.raises(SketchError):
-            words_to_indices(words, 2**33)
-        with pytest.raises(SketchError):
-            words_to_runs(words, 2**33)
-
-
-class TestRepresentationSizes:
-    def test_empty_bitmap_prefers_compressed(self):
-        words = np.zeros(word_count(4096), dtype=np.uint64)
-        sizes = representation_sizes(words, 4096)
-        assert sizes["sparse"] < sizes["dense"]
-        assert sizes["rle"] < sizes["dense"]
-        assert sizes["dense"] < sizes["dense_bool_seed"]
-
-    def test_dense_words_always_beat_seed_bools(self, rng):
-        for fill in (0.01, 0.5, 0.99):
-            bits = random_bits(rng, 2048, fill=fill)
-            sizes = representation_sizes(pack_bool(bits), 2048)
-            assert sizes["dense"] * 8 == sizes["dense_bool_seed"]

@@ -29,15 +29,6 @@ class TestRoundTrip:
         payload = serialize_bitmap(bitmap)
         assert len(payload) == HEADER_SIZE + 2**20 // 8
 
-    def test_compressed_payload_keeps_representation(self):
-        """Sparse/RLE bitmaps stay compressed on the wire."""
-        bitmap = Bitmap.from_indices(2**16, [5, 900, 40000])
-        sparse_payload = serialize_bitmap(bitmap.to_representation("sparse"))
-        assert len(sparse_payload) == HEADER_SIZE + 3 * 4
-        restored = deserialize_bitmap(sparse_payload)
-        assert restored.backend_kind == "sparse"
-        assert restored == bitmap
-
 
 class TestMalformedPayloads:
     def test_too_short_header(self):
@@ -58,3 +49,20 @@ class TestMalformedPayloads:
         payload = (0).to_bytes(8, "little")
         with pytest.raises(SketchError):
             deserialize_bitmap(payload)
+
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            (1, (5).to_bytes(4, "little")),
+            (2, (5).to_bytes(4, "little") + (1).to_bytes(4, "little")),
+            (3, bytes(8)),
+        ],
+        ids=["retired-sparse", "retired-rle", "unknown"],
+    )
+    def test_unknown_kind_byte(self, kind, body):
+        """Only kind 0 (packed words) is read, even when the body is a
+        well-formed retired sparse-index or run-length one."""
+        header = bytearray(serialize_bitmap(Bitmap(64))[:HEADER_SIZE])
+        header[4] = kind
+        with pytest.raises(SketchError):
+            deserialize_bitmap(bytes(header) + body)
