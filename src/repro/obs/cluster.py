@@ -9,8 +9,7 @@ is the collection plane that stitches those islands together:
   Besides the normal ring it keeps a bounded export queue of every
   closed span and record binding; :meth:`TelemetryBuffer.drain`
   empties the queue into a JSON-safe payload the worker ships to the
-  front door (piggy-backed on ``MSG_STATS_REPLY`` and served by the
-  dedicated ``MSG_TELEMETRY`` drain request).
+  front door on its ``MSG_STATS_REPLY``, the only drain.
 * :class:`ClusterTelemetry` — the front-door collector.  It absorbs
   shipped payloads into the front door's own trace buffer (span ids,
   record bindings and cross-trace links survive verbatim, so a TCP

@@ -12,10 +12,10 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Union
 
-from repro.core.baselines import DirectAndBenchmark, DirectAndEstimate
+from repro.core.baselines import DirectAndBenchmark
 from repro.core.point import PointPersistentEstimator
 from repro.core.point_to_point import PointToPointPersistentEstimator
-from repro.core.results import PointEstimate, PointToPointEstimate
+from repro.core.results import PointEstimate
 from repro.exceptions import ConfigurationError, CoverageError
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod

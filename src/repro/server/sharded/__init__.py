@@ -13,7 +13,8 @@ Layers (bottom up):
 * :mod:`~repro.server.sharded.router` — deterministic location-hash
   partitioning of the keyspace.
 * :mod:`~repro.server.sharded.wire` — length-prefixed socket framing
-  for upload frames, queries, stats and control messages.
+  for upload frames, queries, stats and control messages, and the
+  request server that the front door and every worker run.
 * :mod:`~repro.server.sharded.wal` — the per-shard append-only
   write-ahead log whose replay feeds
   :meth:`~repro.server.persistence.RecordArchive.repair`.

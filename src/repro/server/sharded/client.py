@@ -91,10 +91,6 @@ class ShardClient:
         """The per-operation socket timeout, in seconds."""
         return self._timeout
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._address
-
     def _connect(self) -> socket.socket:
         if self._sock is None:
             try:
@@ -255,14 +251,6 @@ class ShardClient:
         """The endpoint's health/metrics snapshot."""
         return wire.decode_json(
             self._request(wire.MSG_STATS, b"", wire.MSG_STATS_REPLY)
-        )
-
-    def telemetry(self) -> dict:
-        """Drain the endpoint's buffered telemetry (spans + bindings)."""
-        return wire.decode_json(
-            self._request(
-                wire.MSG_TELEMETRY, b"", wire.MSG_TELEMETRY_REPLY
-            )
         )
 
     def ping(self) -> bool:

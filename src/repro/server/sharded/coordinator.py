@@ -96,13 +96,7 @@ class FencedShardBackend:
     ):
         self._down()
 
-    def covered_periods(self, location, periods):
-        self._down()
-
     def stats(self):
-        self._down()
-
-    def telemetry(self):
         self._down()
 
     def close(self) -> None:
@@ -182,17 +176,9 @@ class LocalShardBackend:
             explain.update(detail)
         return outcomes
 
-    def covered_periods(self, location: int, periods: Sequence[int]):
-        self._check()
-        return self.engine.covered_periods(location, periods)
-
     def stats(self) -> dict:
         self._check()
         return self.engine.stats()
-
-    def telemetry(self) -> dict:
-        self._check()
-        return self.engine.telemetry()
 
     def close(self) -> None:
         pass
@@ -209,17 +195,16 @@ class ShardedCoordinator:
     router:
         Optional explicit router (defaults to hashing over
         ``len(backends)`` shards).
-    dead_letter_path:
-        Optional JSONL mirror for the *coordinator's own* quarantine:
-        frames that cannot even be routed (mangled beyond claiming a
-        location) or whose owning shard is down.
+
+    Frames that cannot even be routed (mangled beyond claiming a
+    location) or whose owning shard is down land in the coordinator's
+    own in-memory quarantine, :attr:`dead_letters`.
     """
 
     def __init__(
         self,
         backends: Dict[int, object],
         router: Optional[ShardRouter] = None,
-        dead_letter_path=None,
     ):
         if not backends:
             raise TransportError("a sharded tier needs at least one backend")
@@ -233,7 +218,7 @@ class ShardedCoordinator:
                 f"router expects shards {sorted(missing)} but no backend "
                 "was provided for them"
             )
-        self.dead_letters = DeadLetterLog(dead_letter_path)
+        self.dead_letters = DeadLetterLog()
         #: Optional :class:`~repro.obs.cluster.ClusterTelemetry` that
         #: absorbs telemetry payloads piggy-backed on shard stats
         #: replies (attached by the service when cluster collection is

@@ -299,10 +299,6 @@ class ShardEngine:
                 outcomes.append(exc)
         return outcomes
 
-    def covered_periods(self, location: int, periods: Sequence[int]):
-        """Which requested periods this shard holds for a location."""
-        return self.server.store.covered_periods(location, periods)
-
     def observed(self, context, explain: bool, call):
         """``call()`` under a caller's trace and/or explain timing.
 
@@ -405,35 +401,16 @@ class ShardEngine:
                     "ok": True,
                     "results": [wire.encode_outcome(o) for o in outcomes],
                 }
-            if kind == "covered_periods":
-                covered = self.covered_periods(
-                    query_field(payload, "location"),
-                    query_field(payload, "periods"),
-                )
-                return {"ok": True, "result": list(covered)}
         except ReproError as exc:
             return wire.error_reply(exc)
         return protocol_error(f"unknown query kind {kind!r}")
-
-    def telemetry(self) -> dict:
-        """Drain this shard's buffered spans/bindings for shipping.
-
-        Destructive (each span ships exactly once); empty when the
-        worker's trace buffer is not a
-        :class:`~repro.obs.cluster.TelemetryBuffer`.
-        """
-        buffer = obs.trace_buffer()
-        drain = getattr(buffer, "drain", None)
-        if drain is None:
-            return {"spans": [], "bindings": []}
-        return drain()
 
     def stats(self) -> dict:
         """JSON-safe health/metric snapshot of this shard.
 
         When the worker runs a telemetry-exporting trace buffer, the
-        pending spans piggy-back on the reply under ``"telemetry"`` —
-        every stats pull doubles as a telemetry drain.
+        pending spans piggy-back on the reply under ``"telemetry"``:
+        every stats pull drains them, and each span ships exactly once.
         """
         payload = {
             "shard": self.shard_id,
@@ -450,8 +427,9 @@ class ShardEngine:
         # dropped counters, and the reply that carries the spans should
         # also account them — otherwise a scrape is always one pull
         # behind its own telemetry.
-        if getattr(obs.trace_buffer(), "drain", None) is not None:
-            payload["telemetry"] = self.telemetry()
+        drain = getattr(obs.trace_buffer(), "drain", None)
+        if drain is not None:
+            payload["telemetry"] = drain()
         if obs.enabled():
             payload["metrics"] = obs.registry().snapshot()
         return payload

@@ -2,8 +2,9 @@
 
 Vehicles (or the simulator's transport) connect *here*; the front door
 routes each upload frame to its owning shard over a pooled worker
-connection, fans queries out, and merges the per-shard answers.  Every
-client connection gets its own handler thread (the thread pool), and
+connection, fans queries out, and merges the per-shard answers.  It is
+a :class:`~repro.server.sharded.wire.RequestServer`, as every shard
+worker is: each client connection gets its own handler thread, and
 every handler thread borrows per-shard connections from a small pool
 so concurrent clients do not serialize on one worker socket.
 
@@ -16,13 +17,12 @@ transport, front door, shard — reads as one trace.
 from __future__ import annotations
 
 import logging
-import socketserver
 import threading
 import time
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
-from repro.exceptions import ReproError, TransportError, WireProtocolError
+from repro.exceptions import ReproError, TransportError
 from repro.faults.transport import parse_frame
 from repro.obs import runtime as obs
 from repro.obs import trace as trace_mod
@@ -88,10 +88,6 @@ class RemoteShardBackend:
             reset_timeout=breaker_reset,
             name=str(self.shard_id),
         )
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self._host, self._port)
 
     @property
     def timeout(self) -> float:
@@ -205,26 +201,9 @@ class RemoteShardBackend:
             )
         return [wire.decode_outcome(entry) for entry in results]
 
-    def covered_periods(self, location: int, periods: Sequence[int]):
-        payload = {
-            "kind": "covered_periods",
-            "location": int(location),
-            "periods": list(int(p) for p in periods),
-        }
-        with self._client() as client:
-            reply = client.query(payload)
-        if not reply.get("ok"):
-            raise wire.remote_error(reply)
-        return tuple(reply["result"])
-
     def stats(self) -> dict:
         with self._client() as client:
             return client.stats()
-
-    def telemetry(self) -> dict:
-        """Drain the worker's buffered spans/bindings (``MSG_TELEMETRY``)."""
-        with self._client() as client:
-            return client.telemetry()
 
     def ping(self, timeout: Optional[float] = None) -> bool:
         """One throwaway-connection health probe; never raises.
@@ -336,58 +315,7 @@ def decode_sharded_result(payload: dict) -> ShardedQueryResult:
 # ----------------------------------------------------------------------
 
 
-def _count_wire_error(endpoint: str) -> None:
-    if obs.ACTIVE:
-        obs.counter(
-            "repro_wire_errors_total",
-            "Connections dropped for structural wire-protocol damage.",
-            endpoint=endpoint,
-        ).inc()
-
-
-class _FrontDoorHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # noqa: D102 - socketserver contract
-        door: "FrontDoor" = self.server.door
-        while True:
-            try:
-                message = wire.recv_message(self.request)
-            except WireProtocolError:
-                _count_wire_error("front_door")
-                return
-            except (TransportError, OSError):
-                return
-            if message is None:
-                return
-            msg_type, body = message
-            try:
-                if not door.dispatch(self.request, msg_type, body):
-                    return
-            except WireProtocolError:
-                # A structurally damaged request (bad deadline envelope,
-                # torn batch table, garbage JSON) leaves the stream's
-                # framing untrustworthy: drop the connection, no reply.
-                _count_wire_error("front_door")
-                return
-            except (TransportError, OSError) as exc:
-                try:
-                    wire.send_json(
-                        self.request, wire.MSG_ERROR, {"error": str(exc)}
-                    )
-                except OSError:
-                    pass
-                return
-
-
-class _FrontDoorServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, door: "FrontDoor"):
-        super().__init__(address, _FrontDoorHandler)
-        self.door = door
-
-
-class FrontDoor:
+class FrontDoor(wire.RequestServer):
     """The TCP server clients talk to; owns a coordinator.
 
     ``max_inflight`` bounds the number of requests being worked at
@@ -410,25 +338,22 @@ class FrontDoor:
             raise ValueError(
                 f"max_inflight must be >= 0 or None, got {max_inflight}"
             )
+        super().__init__(
+            (host, port),
+            "front_door",
+            upload=self._ingest,
+            upload_batch=coordinator.ingest_batch,
+            query=self._query,
+            stats=coordinator.stats,
+        )
         self.coordinator = coordinator
-        self._max_inflight = max_inflight
         self._busy_retry_after = float(busy_retry_after)
         self._admission = (
             threading.Semaphore(max_inflight)
             if max_inflight is not None
             else None
         )
-        self._server = _FrontDoorServer((host, port), self)
         self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return (host, port)
 
     @property
     def running(self) -> bool:
@@ -438,7 +363,7 @@ class FrontDoor:
     def start(self) -> int:
         """Serve on a background thread; returns the bound port."""
         self._thread = threading.Thread(
-            target=self._server.serve_forever,
+            target=self.serve_forever,
             kwargs={"poll_interval": 0.05},
             name="front-door",
             daemon=True,
@@ -447,8 +372,8 @@ class FrontDoor:
         return self.port
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self.shutdown()
+        self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             if self._thread.is_alive():
@@ -471,69 +396,31 @@ class FrontDoor:
         {wire.MSG_UPLOAD, wire.MSG_UPLOAD_BATCH, wire.MSG_QUERY}
     )
 
-    def dispatch(self, sock, msg_type: int, body: bytes) -> bool:
-        """Handle one client message; False closes the connection."""
-        deadline: Optional[wire.Deadline] = None
-        if msg_type == wire.MSG_DEADLINE:
-            deadline, msg_type, body = wire.unwrap_deadline(body)
-            if msg_type == wire.MSG_DEADLINE:
-                raise WireProtocolError("nested deadline envelope")
-        admitted = False
-        if self._admission is not None and msg_type in self._SHEDDABLE:
-            admitted = self._admission.acquire(blocking=False)
-            if not admitted:
-                if obs.ACTIVE:
-                    obs.counter(
-                        "repro_requests_shed_total",
-                        "Requests refused with MSG_BUSY because the "
-                        "front door was at its in-flight limit.",
-                    ).inc()
-                wire.send_json(
-                    sock,
-                    wire.MSG_BUSY,
-                    {"retry_after": self._busy_retry_after},
-                )
-                return True
-        try:
-            return self._dispatch_admitted(sock, msg_type, body, deadline)
-        finally:
-            if admitted:
-                self._admission.release()
-
-    def _dispatch_admitted(
+    def answer(
         self,
         sock,
         msg_type: int,
         body: bytes,
         deadline: Optional[wire.Deadline],
     ) -> bool:
-        if msg_type == wire.MSG_UPLOAD:
-            wire.send_json(sock, wire.MSG_ACK, self._ingest(body, deadline))
-        elif msg_type == wire.MSG_UPLOAD_BATCH:
-            counts = self.coordinator.ingest_batch(
-                wire.unpack_frames(body), deadline=deadline
-            )
-            wire.send_json(sock, wire.MSG_ACK_BATCH, counts)
-        elif msg_type == wire.MSG_QUERY:
-            reply = self._query(wire.decode_json(body), deadline)
-            wire.send_json(sock, wire.MSG_RESULT, reply)
-        elif msg_type == wire.MSG_STATS:
+        """Shed a data-plane request at the in-flight limit, else answer it."""
+        if self._admission is None or msg_type not in self._SHEDDABLE:
+            return super().answer(sock, msg_type, body, deadline)
+        if not self._admission.acquire(blocking=False):
+            if obs.ACTIVE:
+                obs.counter(
+                    "repro_requests_shed_total",
+                    "Requests refused with MSG_BUSY because the "
+                    "front door was at its in-flight limit.",
+                ).inc()
             wire.send_json(
-                sock, wire.MSG_STATS_REPLY, self.coordinator.stats()
+                sock, wire.MSG_BUSY, {"retry_after": self._busy_retry_after}
             )
-        elif msg_type == wire.MSG_PING:
-            wire.send_message(sock, wire.MSG_PONG)
-        elif msg_type == wire.MSG_SHUTDOWN:
-            wire.send_message(sock, wire.MSG_PONG)
-            threading.Thread(target=self.stop, daemon=True).start()
-            return False
-        else:
-            wire.send_json(
-                sock,
-                wire.MSG_ERROR,
-                {"error": f"unknown message type 0x{msg_type:02x}"},
-            )
-        return True
+            return True
+        try:
+            return super().answer(sock, msg_type, body, deadline)
+        finally:
+            self._admission.release()
 
     def _ingest(
         self, frame: bytes, deadline: Optional[wire.Deadline] = None
@@ -577,13 +464,10 @@ class FrontDoor:
                     explain=bool(payload.get("explain")),
                 )
                 return {"ok": True, "result": encode_sharded_result(result)}
-            if kind in ("point_persistent", "covered_periods"):
+            if kind == "point_persistent":
                 location = query_field(payload, "location")
                 periods = query_field(payload, "periods")
                 backend = self.coordinator.backend_for(location)
-                if kind == "covered_periods":
-                    covered = backend.covered_periods(location, periods)
-                    return {"ok": True, "result": list(covered)}
                 (outcome,) = backend.point_persistent(
                     [location],
                     periods,

@@ -18,7 +18,7 @@ coverage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.server.degradation import DegradedResult

@@ -58,9 +58,6 @@ class ShardedIngestService:
         Front-door listening address (port 0 picks a free port).
     s / load_factor:
         Estimator parameters for every shard's server.
-    shard_metrics:
-        Enable per-worker metric registries (folded into the front
-        door's ``stats()`` reply).
     shard_telemetry:
         Give each worker a telemetry-exporting trace buffer so its
         spans ship to the front door (see
@@ -90,7 +87,6 @@ class ShardedIngestService:
         port: int = 0,
         s: int = 3,
         load_factor: float = 2.0,
-        shard_metrics: bool = True,
         shard_telemetry: bool = False,
         timeout: float = 10.0,
         max_inflight: Optional[int] = 64,
@@ -117,7 +113,6 @@ class ShardedIngestService:
                 host=host,
                 s=s,
                 load_factor=load_factor,
-                metrics=shard_metrics,
                 telemetry=shard_telemetry,
             )
             for shard in range(self._n_shards)

@@ -26,13 +26,19 @@ Upload acks, query results and stats replies are UTF-8 JSON bodies.
 Estimate serialization round-trips every IEEE double exactly (Python's
 JSON emits shortest-round-trip reprs), so a remote query answer
 compares bit-for-bit equal to the in-process one.
+
+:class:`RequestServer` serves this protocol: the front door and every
+shard worker are request servers that differ only in the four
+data-plane calls they supply.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import struct
+import threading
 import time
 from typing import List, Optional, Tuple
 
@@ -47,6 +53,7 @@ from repro.exceptions import (
     WireProtocolError,
 )
 from repro.faults.transport import FRAME_MAGIC, TRACED_MAGIC, _HEADER_BYTES
+from repro.obs import runtime as obs
 from repro.obs.trace import CONTEXT_BYTES
 from repro.server.degradation import CoverageReport, DegradedResult
 
@@ -59,8 +66,6 @@ MSG_PING = 0x05
 MSG_SHUTDOWN = 0x06
 #: A deadline envelope: ``f64 budget seconds | u8 inner type | body``.
 MSG_DEADLINE = 0x07
-#: Drain a worker's buffered telemetry (closed spans + bindings).
-MSG_TELEMETRY = 0x08
 #: Responses.
 MSG_ACK = 0x81
 MSG_ACK_BATCH = 0x82
@@ -71,8 +76,6 @@ MSG_PONG = 0x86
 #: Load-shed reply: the server refused the request; the JSON body's
 #: ``retry_after`` (seconds) tells the sender when to try again.
 MSG_BUSY = 0x87
-#: A drained telemetry payload: ``{"spans": [...], "bindings": [...]}``.
-MSG_TELEMETRY_REPLY = 0x88
 
 _HEADER = struct.Struct(">IB")
 #: Upper bound on one message body; far above any real record batch,
@@ -273,6 +276,138 @@ def unpack_frames(body: bytes) -> List[bytes]:
         frames.append(body[offset : offset + length])
         offset += length
     return frames
+
+
+# ----------------------------------------------------------------------
+# The request server
+# ----------------------------------------------------------------------
+
+
+def _count_wire_error(endpoint: str) -> None:
+    if obs.ACTIVE:
+        obs.counter(
+            "repro_wire_errors_total",
+            "Connections dropped for structural wire-protocol damage.",
+            endpoint=endpoint,
+        ).inc()
+
+
+class _RequestHandler(socketserver.BaseRequestHandler):
+    """One connection: a loop of length-prefixed request messages."""
+
+    def handle(self) -> None:  # noqa: D102 - socketserver contract
+        server: "RequestServer" = self.server
+        sock = self.request
+        while True:
+            try:
+                message = recv_message(sock)
+            except WireProtocolError:
+                _count_wire_error(server.endpoint)
+                return
+            except (TransportError, OSError):
+                return
+            if message is None:
+                return
+            msg_type, body = message
+            try:
+                if not server.dispatch(sock, msg_type, body):
+                    return
+            except WireProtocolError:
+                # A structurally damaged request (bad deadline envelope,
+                # torn batch table, garbage JSON) leaves the stream's
+                # framing untrustworthy: drop the connection, no reply.
+                _count_wire_error(server.endpoint)
+                return
+            except (TransportError, OSError) as exc:
+                try:
+                    send_json(sock, MSG_ERROR, {"error": str(exc)})
+                except OSError:
+                    pass
+                return
+
+
+class RequestServer(socketserver.ThreadingTCPServer):
+    """One TCP endpoint of the tier: a thread and request loop per connection.
+
+    The loop, the deadline envelope and the control replies (``PING``,
+    ``SHUTDOWN``, unknown types) live here; the endpoint supplies the
+    four data-plane calls, each answering with a JSON-safe dict:
+
+    * ``upload(frame, deadline)`` for :data:`MSG_UPLOAD`;
+    * ``upload_batch(frames, deadline)`` for :data:`MSG_UPLOAD_BATCH`;
+    * ``query(payload, deadline)`` for :data:`MSG_QUERY`;
+    * ``stats()`` for :data:`MSG_STATS`.
+
+    ``deadline`` is the unwrapped :class:`Deadline` or None.  Structural
+    damage drops the connection without a reply and counts on
+    ``repro_wire_errors_total{endpoint}``; any other transport failure
+    is answered with :data:`MSG_ERROR` before the connection closes.
+    """
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(
+        self, address, endpoint: str, upload, upload_batch, query, stats
+    ):
+        super().__init__(address, _RequestHandler)
+        self.endpoint = endpoint
+        #: Request type -> (reply type, answer to the raw body).
+        self._calls = {
+            MSG_UPLOAD: (MSG_ACK, upload),
+            MSG_UPLOAD_BATCH: (
+                MSG_ACK_BATCH,
+                lambda body, deadline: upload_batch(
+                    unpack_frames(body), deadline
+                ),
+            ),
+            MSG_QUERY: (
+                MSG_RESULT,
+                lambda body, deadline: query(decode_json(body), deadline),
+            ),
+            MSG_STATS: (MSG_STATS_REPLY, lambda body, deadline: stats()),
+        }
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def dispatch(self, sock, msg_type: int, body: bytes) -> bool:
+        """Handle one client message; False closes the connection."""
+        deadline: Optional[Deadline] = None
+        if msg_type == MSG_DEADLINE:
+            deadline, msg_type, body = unwrap_deadline(body)
+            if msg_type == MSG_DEADLINE:
+                raise WireProtocolError("nested deadline envelope")
+        return self.answer(sock, msg_type, body, deadline)
+
+    def answer(
+        self, sock, msg_type: int, body: bytes, deadline: Optional[Deadline]
+    ) -> bool:
+        """Answer one unwrapped request; False closes the connection."""
+        call = self._calls.get(msg_type)
+        if call is not None:
+            reply_type, respond = call
+            send_json(sock, reply_type, respond(body, deadline))
+        elif msg_type == MSG_PING:
+            send_message(sock, MSG_PONG)
+        elif msg_type == MSG_SHUTDOWN:
+            send_message(sock, MSG_PONG)
+            # stop() waits for serve_forever to return, so it must run
+            # off this handler thread.
+            threading.Thread(target=self.stop, daemon=True).start()
+            return False
+        else:
+            send_json(
+                sock,
+                MSG_ERROR,
+                {"error": f"unknown message type 0x{msg_type:02x}"},
+            )
+        return True
+
+    def stop(self) -> None:
+        """Stop serving; a ``MSG_SHUTDOWN`` request calls this."""
+        self.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -27,14 +27,10 @@ from __future__ import annotations
 import gc
 import os
 import signal
-import socketserver
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exceptions import TransportError, WireProtocolError
-from repro.obs import runtime as obs
 from repro.server.central import CentralServer
 from repro.server.sharded import wire
 from repro.server.sharded.engine import ShardEngine, count_deadline
@@ -66,18 +62,15 @@ class ShardConfig:
         via the port file.
     s / load_factor:
         Estimator parameters of the shard's central server.
-    metrics:
-        When True the worker enables its own metrics registry so
-        ``stats()`` replies carry a snapshot the front door can fold
-        through :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
     telemetry:
         When True the worker's trace buffer is a
         :class:`~repro.obs.cluster.TelemetryBuffer`, so spans recorded
-        in this process ship to the front door (piggy-backed on stats
-        replies and via ``MSG_TELEMETRY`` drains).  Implies an enabled
-        registry even when ``metrics`` is False, because tracing needs
-        an active runtime.  Off by default, so a tier whose front door
-        collects no telemetry records no spans.
+        in this process ship to the front door on its stats replies.
+        Off by default, so a tier whose front door collects no
+        telemetry records no spans.  The worker's metrics registry is
+        enabled either way, so ``stats()`` replies carry a snapshot the
+        front door folds through
+        :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
     """
 
     shard_id: int
@@ -86,7 +79,6 @@ class ShardConfig:
     port: int = 0
     s: int = 3
     load_factor: float = 2.0
-    metrics: bool = True
     telemetry: bool = False
 
     @property
@@ -106,110 +98,29 @@ class ShardConfig:
         return Path(self.data_dir) / DEAD_LETTER_FILENAME
 
 
-class _ShardHandler(socketserver.BaseRequestHandler):
-    """One connection: a loop of length-prefixed request messages."""
+class _ShardServer(wire.RequestServer):
+    """The worker's endpoint: the request server over one engine.
 
-    def handle(self) -> None:  # noqa: D102 - socketserver contract
-        while True:
-            try:
-                message = wire.recv_message(self.request)
-            except WireProtocolError:
-                self._count_wire_error()
-                return
-            except (TransportError, OSError):
-                return
-            if message is None:
-                return
-            msg_type, body = message
-            try:
-                if not self._dispatch(msg_type, body):
-                    return
-            except WireProtocolError:
-                # Structural damage: the stream framing can no longer
-                # be trusted, so drop the connection without replying.
-                self._count_wire_error()
-                return
-            except (TransportError, OSError) as exc:
-                try:
-                    wire.send_json(
-                        self.request, wire.MSG_ERROR, {"error": str(exc)}
-                    )
-                except OSError:
-                    pass
-                return
-
-    @staticmethod
-    def _count_wire_error() -> None:
-        if obs.ACTIVE:
-            obs.counter(
-                "repro_wire_errors_total",
-                "Connections dropped for structural wire-protocol "
-                "damage.",
-                endpoint="shard",
-            ).inc()
-
-    def _dispatch(self, msg_type: int, body: bytes) -> bool:
-        engine: ShardEngine = self.server.engine
-        sock = self.request
-        deadline = None
-        if msg_type == wire.MSG_DEADLINE:
-            deadline, msg_type, body = wire.unwrap_deadline(body)
-            if msg_type == wire.MSG_DEADLINE:
-                raise WireProtocolError("nested deadline envelope")
-        if msg_type == wire.MSG_UPLOAD:
-            if deadline is not None and deadline.expired:
-                count_deadline("shard")
-                wire.send_json(
-                    sock,
-                    wire.MSG_ACK,
-                    {"outcome": "rejected", "reason": "deadline"},
-                )
-            else:
-                wire.send_json(
-                    sock, wire.MSG_ACK, engine.handle_frame(body)
-                )
-        elif msg_type == wire.MSG_UPLOAD_BATCH:
-            counts = engine.handle_batch(
-                wire.unpack_frames(body), deadline=deadline
-            )
-            wire.send_json(sock, wire.MSG_ACK_BATCH, counts)
-        elif msg_type == wire.MSG_QUERY:
-            reply = engine.handle_query(
-                wire.decode_json(body), deadline=deadline
-            )
-            wire.send_json(sock, wire.MSG_RESULT, reply)
-        elif msg_type == wire.MSG_STATS:
-            wire.send_json(sock, wire.MSG_STATS_REPLY, engine.stats())
-        elif msg_type == wire.MSG_TELEMETRY:
-            wire.send_json(
-                sock, wire.MSG_TELEMETRY_REPLY, engine.telemetry()
-            )
-        elif msg_type == wire.MSG_PING:
-            wire.send_message(sock, wire.MSG_PONG)
-        elif msg_type == wire.MSG_SHUTDOWN:
-            wire.send_message(sock, wire.MSG_PONG)
-            # shutdown() blocks until serve_forever returns, so it must
-            # run off this handler thread.
-            threading.Thread(
-                target=self.server.shutdown, daemon=True
-            ).start()
-            return False
-        else:
-            wire.send_json(
-                sock,
-                wire.MSG_ERROR,
-                {"error": f"unknown message type 0x{msg_type:02x}"},
-            )
-        return True
-
-
-class _ShardServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
+    It adds only the engine and the expired-deadline check on single
+    uploads; batches and queries check their deadline in the engine.
+    """
 
     def __init__(self, address, engine: ShardEngine):
-        super().__init__(address, _ShardHandler)
+        super().__init__(
+            address,
+            "shard",
+            upload=self._upload,
+            upload_batch=engine.handle_batch,
+            query=engine.handle_query,
+            stats=engine.stats,
+        )
         self.engine = engine
+
+    def _upload(self, frame: bytes, deadline) -> dict:
+        if deadline is not None and deadline.expired:
+            count_deadline("shard")
+            return {"outcome": "rejected", "reason": "deadline"}
+        return self.engine.handle_frame(frame)
 
 
 def _publish_port(port_file: Path, port: int) -> None:
@@ -241,15 +152,14 @@ def recover_engine(config: ShardConfig) -> ShardEngine:
 def run_shard(config: ShardConfig) -> None:
     """Process entry point: recover, bind, publish the port, serve."""
     Path(config.data_dir).mkdir(parents=True, exist_ok=True)
-    if config.metrics or config.telemetry:
-        from repro import obs
-        from repro.obs.cluster import TelemetryBuffer, register_cluster_metrics
+    from repro import obs
+    from repro.obs.cluster import TelemetryBuffer, register_cluster_metrics
 
-        registry = obs.enable(
-            registry=obs.MetricsRegistry(),
-            trace=TelemetryBuffer() if config.telemetry else None,
-        )
-        register_cluster_metrics(registry)
+    registry = obs.enable(
+        registry=obs.MetricsRegistry(),
+        trace=TelemetryBuffer() if config.telemetry else None,
+    )
+    register_cluster_metrics(registry)
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
         raise SystemExit(0)
@@ -270,7 +180,7 @@ def run_shard(config: ShardConfig) -> None:
     gc.freeze()
     server = _ShardServer((config.host, config.port), engine)
     try:
-        _publish_port(config.port_file, server.server_address[1])
+        _publish_port(config.port_file, server.port)
         server.serve_forever(poll_interval=0.05)
     finally:
         server.server_close()

@@ -347,7 +347,6 @@ def tier(tmp_path_factory):
     service = ShardedIngestService(
         2,
         tmp_path_factory.mktemp("cluster-tier"),
-        shard_metrics=True,
         shard_telemetry=True,
     )
     service.start()
@@ -601,7 +600,7 @@ class TestShardsEndpointWithoutCluster:
 
 class TestShardsStartAndRecovery:
     def test_restart_reports_start_and_recovery_seconds(self, tmp_path):
-        service = ShardedIngestService(1, tmp_path, shard_metrics=True)
+        service = ShardedIngestService(1, tmp_path)
         service.start()
         try:
             client = ShardClient("127.0.0.1", service.port)

@@ -9,13 +9,16 @@ worker processes — so every refusal path is exercised deterministically:
 * deadline propagation: client-side expiry, server-side rejected
   uploads, typed ``deadline`` query errors, aborted batch tails;
 * structural wire damage (oversized announcements, nested deadline
-  envelopes) dropping exactly one connection and nothing else.
+  envelopes) dropping exactly one connection and nothing else, and an
+  unknown message type answered with ``MSG_ERROR``.  These cases also
+  run against a shard worker's request server, in-process too.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.exceptions import (
 from repro.faults.transport import UploadOutcome, UploadTransport, frame_payload
 from repro.obs import runtime as obs
 from repro.rsu.record import TrafficRecord
-from repro.server.sharded import wire
+from repro.server.sharded import wire, worker
 from repro.server.sharded.client import ShardClient, TcpUploadClient
 from repro.server.sharded.coordinator import (
     LocalShardBackend,
@@ -224,21 +227,55 @@ class TestDeadlines:
         assert exceeded.value == 1
 
 
+@pytest.fixture()
+def shard_server():
+    """A started shard worker request server over an in-process engine."""
+    server = worker._ShardServer(("127.0.0.1", 0), ShardEngine(shard_id=0))
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}
+    )
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _pings(port):
+    """Whether a fresh connection to ``port`` gets its ping answered."""
+    probe = ShardClient("127.0.0.1", port)
+    try:
+        return probe.ping()
+    finally:
+        probe.close()
+
+
 class TestWireErrors:
+    """Wire damage at the front door (see :class:`TestShardWireErrors`)."""
+
+    endpoint = "front_door"
+
+    @pytest.fixture()
+    def port(self, local_door):
+        return local_door.port
+
+    @pytest.fixture()
+    def raw_sock(self, port):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+        sock.settimeout(5)
+        yield sock
+        sock.close()
+
     def test_oversized_announcement_drops_only_that_connection(
-        self, local_door, raw_sock
+        self, port, raw_sock
     ):
         raw_sock.sendall(struct.pack(">IB", wire.MAX_BODY_BYTES + 1, 0x01))
         # Server answers structural damage with silence: a clean close.
         assert raw_sock.recv(1) == b""
-        probe = ShardClient("127.0.0.1", local_door.port)
-        try:
-            assert probe.ping()
-        finally:
-            probe.close()
+        assert _pings(port)
 
     def test_nested_deadline_envelope_is_structural_damage(
-        self, local_door, raw_sock
+        self, port, raw_sock
     ):
         inner_type, inner = wire.wrap_deadline(
             wire.MSG_PING, b"", wire.Deadline.after(5.0)
@@ -249,18 +286,38 @@ class TestWireErrors:
         assert msg_type == inner_type == wire.MSG_DEADLINE
         wire.send_message(raw_sock, msg_type, body)
         assert wire.recv_message(raw_sock) is None
-        assert local_door.running
+        assert _pings(port)
 
-    def test_wire_errors_count_by_endpoint(self, local_door, raw_sock):
+    def test_wire_errors_count_by_endpoint(self, raw_sock):
         obs.enable()
         raw_sock.sendall(struct.pack(">IB", wire.MAX_BODY_BYTES + 1, 0x01))
         assert raw_sock.recv(1) == b""
         errors = obs.counter(
             "repro_wire_errors_total",
             "Connections dropped for structural wire-protocol damage.",
-            endpoint="front_door",
+            endpoint=self.endpoint,
         )
         assert errors.value == 1
+
+    def test_type_0x08_is_unknown_and_keeps_the_connection(self, raw_sock):
+        wire.send_message(raw_sock, 0x08)
+        reply_type, reply = wire.recv_message(raw_sock)
+        assert reply_type == wire.MSG_ERROR
+        assert wire.decode_json(reply) == {
+            "error": "unknown message type 0x08"
+        }
+        wire.send_message(raw_sock, wire.MSG_PING)
+        assert wire.recv_message(raw_sock) == (wire.MSG_PONG, b"")
+
+
+class TestShardWireErrors(TestWireErrors):
+    """The same cases against a shard worker's request server."""
+
+    endpoint = "shard"
+
+    @pytest.fixture()
+    def port(self, shard_server):
+        return shard_server.port
 
 
 class TestFrontDoorStop:

@@ -38,17 +38,19 @@ _PERIODS = tuple(range(4))
 _BITS = 128
 _POLICY = CoveragePolicy(min_coverage=0.5, min_periods=2)
 
-#: Query bodies no endpoint can act on, by shape.
+#: Query bodies no endpoint can act on: malformed shapes, and a kind
+#: that neither endpoint serves.
 _MALFORMED = {
     "not_an_object": [_LOCATIONS[0], list(_PERIODS)],
     "no_location": {"kind": "point_persistent", "periods": [0, 1]},
     "no_locations": {"kind": "multi_point_persistent", "periods": [0, 1]},
-    "no_periods": {"kind": "covered_periods", "location": 1},
+    "no_periods": {"kind": "multi_point_persistent", "locations": [1]},
     "string_location": {
         "kind": "point_persistent", "location": "1", "periods": [0, 1],
     },
     "float_period": {
-        "kind": "covered_periods", "location": 1, "periods": [0, 1.5],
+        "kind": "multi_point_persistent", "locations": [1],
+        "periods": [0, 1.5],
     },
     "policy_not_an_object": {
         "kind": "point_persistent", "location": 1, "periods": [0, 1],
@@ -68,6 +70,9 @@ _MALFORMED = {
     "batch_policy_not_a_number": {
         "kind": "multi_point_persistent", "locations": [1], "periods": [0, 1],
         "policy": {"min_coverage": "half"},
+    },
+    "covered_periods": {
+        "kind": "covered_periods", "location": 1, "periods": [0, 1],
     },
 }
 #: A location no record was ever uploaded for.
@@ -145,9 +150,7 @@ def single():
 
 @pytest.fixture(scope="module")
 def tier(tmp_path_factory):
-    service = ShardedIngestService(
-        2, tmp_path_factory.mktemp("tier"), shard_metrics=True
-    )
+    service = ShardedIngestService(2, tmp_path_factory.mktemp("tier"))
     service.start()
     client = ShardClient("127.0.0.1", service.port)
     counts = client.upload_batch(_frames())
@@ -236,18 +239,6 @@ class TestRemoteQueryParity:
             # socket boundary must not perturb a single bit.
             assert outcome.result.value == expected.value
             assert outcome.result.coverage == expected.coverage
-
-    def test_single_location_query_and_covered_periods(self, tier):
-        _service, client = tier
-        reply = client.query(
-            {
-                "kind": "covered_periods",
-                "location": _LOCATIONS[0],
-                "periods": list(_PERIODS) + [99],
-            }
-        )
-        assert reply["ok"]
-        assert reply["result"] == list(_PERIODS)
 
     def test_unknown_query_kind_is_a_typed_error(self, tier):
         _service, client = tier
